@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb, factorial
+from typing import Callable
 
 from .engine import SeqParams, compute_table, euler_number
 
@@ -31,6 +32,8 @@ __all__ = [
     "check_zeta_identity",
     "check_bernoulli_identity",
     "bernoulli_formula_value",
+    "BernoulliDisplay",
+    "BERNOULLI_DISPLAYS",
     "eval_H",
     "predicted_zero",
     "family_zeros",
@@ -113,12 +116,23 @@ def _weighted_sum(params: SeqParams, top: int, upper: int) -> Fraction:
     return total
 
 
-# Each display: (sequence params, pi-degree, power of 2 in the prefactor,
-# extra integer denominator, binomial top index, inclusive upper summation
-# bound), all as functions of n.  The sqrt(2) powers are even, so every
-# prefactor is an exact rational.
+@dataclass(frozen=True)
+class _ZetaDisplay:
+    """One zeta/lambda display; every field but params is a function of n.
+
+    The sqrt(2) powers are even, so every prefactor is an exact rational.
+    """
+
+    params: tuple[int, int]
+    degree: Callable[[int], int]  # power of pi
+    two_power: Callable[[int], Fraction]  # power of 2 in the prefactor
+    denominator: Callable[[int], int]  # extra integer denominator
+    top: Callable[[int], int]  # binomial top index
+    upper: Callable[[int], int]  # inclusive upper summation bound
+
+
 _ZETA_DISPLAYS = {
-    ZetaFormulaId.lambda_4n_via_40: (
+    ZetaFormulaId.lambda_4n_via_40: _ZetaDisplay(
         (4, 0),
         lambda n: 4 * n,
         lambda n: Fraction(1, 2 ** (2 * n)),
@@ -126,7 +140,7 @@ _ZETA_DISPLAYS = {
         lambda n: 4 * n - 1,
         lambda n: n - 1,
     ),
-    ZetaFormulaId.lambda_4n2_via_40: (
+    ZetaFormulaId.lambda_4n2_via_40: _ZetaDisplay(
         (4, 0),
         lambda n: 4 * n - 2,
         lambda n: Fraction(1, 2 ** (2 * n - 1)),
@@ -134,7 +148,7 @@ _ZETA_DISPLAYS = {
         lambda n: 4 * n - 3,
         lambda n: n - 1,
     ),
-    ZetaFormulaId.zeta_4n_via_40: (
+    ZetaFormulaId.zeta_4n_via_40: _ZetaDisplay(
         (4, 0),
         lambda n: 4 * n,
         lambda n: Fraction(2 ** (2 * n)),
@@ -142,7 +156,7 @@ _ZETA_DISPLAYS = {
         lambda n: 4 * n - 1,
         lambda n: n - 1,
     ),
-    ZetaFormulaId.zeta_4n2_via_40: (
+    ZetaFormulaId.zeta_4n2_via_40: _ZetaDisplay(
         (4, 0),
         lambda n: 4 * n - 2,
         lambda n: Fraction(2 ** (2 * n - 1)),
@@ -150,7 +164,7 @@ _ZETA_DISPLAYS = {
         lambda n: 4 * n - 3,
         lambda n: n - 1,
     ),
-    ZetaFormulaId.zeta_4n_via_42: (
+    ZetaFormulaId.zeta_4n_via_42: _ZetaDisplay(
         (4, 2),
         lambda n: 4 * n,
         lambda n: Fraction(2 ** (2 * n)),
@@ -158,7 +172,7 @@ _ZETA_DISPLAYS = {
         lambda n: 4 * n + 1,
         lambda n: n,
     ),
-    ZetaFormulaId.zeta_4n2_via_42: (
+    ZetaFormulaId.zeta_4n2_via_42: _ZetaDisplay(
         (4, 2),
         lambda n: 4 * n - 2,
         lambda n: Fraction(2 ** (2 * n - 1)),
@@ -166,7 +180,7 @@ _ZETA_DISPLAYS = {
         lambda n: 4 * n - 1,
         lambda n: n - 1,
     ),
-    ZetaFormulaId.zeta_6n_via_63: (
+    ZetaFormulaId.zeta_6n_via_63: _ZetaDisplay(
         (6, 3),
         lambda n: 6 * n,
         lambda n: Fraction(2 ** (6 * n)),
@@ -174,7 +188,7 @@ _ZETA_DISPLAYS = {
         lambda n: 6 * n + 2,
         lambda n: n,
     ),
-    ZetaFormulaId.zeta_6n4_via_63: (
+    ZetaFormulaId.zeta_6n4_via_63: _ZetaDisplay(
         (6, 3),
         lambda n: 6 * n - 4,
         lambda n: Fraction(2 ** (6 * n - 4)),
@@ -189,17 +203,17 @@ def formula_value(formula: ZetaFormulaId, n: int) -> PiPolynomial:
     """Right-hand side of one zeta/lambda display, as an exact pi-multiple."""
     if n < 1:
         raise ValueError("formula_value: n must be positive")
-    params, degree, two_power, denominator, top, upper = _ZETA_DISPLAYS[formula]
-    total = _weighted_sum(SeqParams(*params), top(n), upper(n))
-    coefficient = Fraction((-1) ** (n + 1)) * two_power(n) / denominator(n) * total
-    return PiPolynomial(degree(n), coefficient)
+    display = _ZETA_DISPLAYS[formula]
+    total = _weighted_sum(SeqParams(*display.params), display.top(n), display.upper(n))
+    coefficient = Fraction((-1) ** (n + 1)) * display.two_power(n) / display.denominator(n) * total
+    return PiPolynomial(display.degree(n), coefficient)
 
 
 def formula_reference(formula: ZetaFormulaId, n: int) -> PiPolynomial:
     """Left-hand side of the display: the actual zeta or lambda value."""
     if n < 1:
         raise ValueError("formula_reference: n must be positive")
-    degree = _ZETA_DISPLAYS[formula][1](n)
+    degree = _ZETA_DISPLAYS[formula].degree(n)
     if formula.value.startswith("lambda"):
         return lambda_even(degree)
     return zeta_even(degree)
@@ -210,10 +224,20 @@ def check_zeta_identity(formula: ZetaFormulaId, n: int) -> bool:
     return formula_value(formula, n) == formula_reference(formula, n)
 
 
-# (sequence params, B-index, rational prefactor, binomial top, upper bound,
-# minimal admissible n) per Bernoulli display.
-_BERNOULLI_DISPLAYS = {
-    BernoulliFormulaId.b4n_via_40: (
+@dataclass(frozen=True)
+class BernoulliDisplay:
+    """One Bernoulli display B_{index(n)} = prefactor(n) * sum; valid for n >= min_n."""
+
+    params: tuple[int, int]
+    index: Callable[[int], int]  # subscript of the Bernoulli number
+    prefactor: Callable[[int], Fraction]
+    top: Callable[[int], int]  # binomial top index
+    upper: Callable[[int], int]  # inclusive upper summation bound
+    min_n: int
+
+
+BERNOULLI_DISPLAYS = {
+    BernoulliFormulaId.b4n_via_40: BernoulliDisplay(
         (4, 0),
         lambda n: 4 * n,
         lambda n: Fraction((-1) ** n * 2 * n, 2 ** (2 * n) * (2 ** (4 * n) - 1)),
@@ -221,7 +245,7 @@ _BERNOULLI_DISPLAYS = {
         lambda n: n - 1,
         1,
     ),
-    BernoulliFormulaId.b4n2_via_40: (
+    BernoulliFormulaId.b4n2_via_40: BernoulliDisplay(
         (4, 0),
         lambda n: 4 * n - 2,
         lambda n: Fraction((-1) ** (n + 1) * (4 * n - 2), 2 ** (2 * n) * (2 ** (4 * n - 2) - 1)),
@@ -229,7 +253,7 @@ _BERNOULLI_DISPLAYS = {
         lambda n: n - 1,
         1,
     ),
-    BernoulliFormulaId.b4n_via_42: (
+    BernoulliFormulaId.b4n_via_42: BernoulliDisplay(
         (4, 2),
         lambda n: 4 * n,
         lambda n: Fraction((-1) ** n, 2 ** (2 * n + 1) * (4 * n + 1)),
@@ -237,7 +261,7 @@ _BERNOULLI_DISPLAYS = {
         lambda n: n,
         0,
     ),
-    BernoulliFormulaId.b4n2_via_42: (
+    BernoulliFormulaId.b4n2_via_42: BernoulliDisplay(
         (4, 2),
         lambda n: 4 * n - 2,
         lambda n: Fraction((-1) ** (n + 1), 2 ** (2 * n) * (4 * n - 1)),
@@ -245,7 +269,7 @@ _BERNOULLI_DISPLAYS = {
         lambda n: n - 1,
         1,
     ),
-    BernoulliFormulaId.b6n_via_63: (
+    BernoulliFormulaId.b6n_via_63: BernoulliDisplay(
         (6, 3),
         lambda n: 6 * n,
         lambda n: Fraction(1, 3 * (6 * n + 1) * (6 * n + 2)),
@@ -253,7 +277,7 @@ _BERNOULLI_DISPLAYS = {
         lambda n: n,
         0,
     ),
-    BernoulliFormulaId.b6n4_via_63: (
+    BernoulliFormulaId.b6n4_via_63: BernoulliDisplay(
         (6, 3),
         lambda n: 6 * n - 4,
         lambda n: Fraction(1, 3 * (6 * n - 2) * (6 * n - 3)),
@@ -266,15 +290,16 @@ _BERNOULLI_DISPLAYS = {
 
 def bernoulli_formula_value(formula: BernoulliFormulaId, n: int) -> Fraction:
     """Right-hand side of one Bernoulli display, as an exact rational."""
-    params, _, prefactor, top, upper, min_n = _BERNOULLI_DISPLAYS[formula]
-    if n < min_n:
-        raise ValueError(f"{formula.value}: n must be at least {min_n}")
-    return prefactor(n) * _weighted_sum(SeqParams(*params), top(n), upper(n))
+    display = BERNOULLI_DISPLAYS[formula]
+    if n < display.min_n:
+        raise ValueError(f"{formula.value}: n must be at least {display.min_n}")
+    total = _weighted_sum(SeqParams(*display.params), display.top(n), display.upper(n))
+    return display.prefactor(n) * total
 
 
 def check_bernoulli_identity(formula: BernoulliFormulaId, n: int) -> bool:
     """Exact equality of one Bernoulli display at index n."""
-    index = _BERNOULLI_DISPLAYS[formula][1](n)
+    index = BERNOULLI_DISPLAYS[formula].index(n)
     return bernoulli_formula_value(formula, n) == bernoulli(index)
 
 

@@ -11,12 +11,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Optional
 
 from . import congruences
 from .analytic import (
+    BERNOULLI_DISPLAYS,
     BernoulliFormulaId,
     ZetaFormulaId,
     bernoulli,
@@ -34,28 +34,7 @@ from .scanner import emit_table, run_reference_scan, scan_conjecture
 
 DEFAULT_CACHE_DIR = Path(os.environ.get("CEULER_CACHE_DIR", "~/.cache/congruential-euler"))
 
-__all__ = ["main", "RunConfig"]
-
-
-@dataclass
-class RunConfig:
-    cache_dir: Path
-    output_format: str = "text"
-    parallelism: int = 1
-    default_n_max: int = 30
-
-    def __post_init__(self) -> None:
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
-        self.cache_dir = Path(self.cache_dir).expanduser()
-
-    @staticmethod
-    def from_args(args: argparse.Namespace) -> "RunConfig":
-        return RunConfig(
-            cache_dir=Path(args.cache_dir),
-            output_format=args.format,
-            parallelism=args.jobs,
-        )
+__all__ = ["main"]
 
 
 def _parse_range(text: str) -> range:
@@ -78,57 +57,52 @@ def _parse_pairs(texts: list[str]) -> list[tuple[int, int]]:
     return pairs
 
 
-def _cache_path(config: RunConfig, params: SeqParams) -> Path:
-    return config.cache_dir / f"euler_N{params.N}_j{params.j}.txt"
+def _cache_path(args: argparse.Namespace, params: SeqParams) -> Path:
+    return args.cache_dir / f"euler_N{params.N}_j{params.j}.txt"
+
+
+def _emit(args: argparse.Namespace, record: dict, text: str, tsv: Optional[str] = None) -> None:
+    """Print one result in the chosen format: a JSON line, a TSV row, or the text line.
+
+    The TSV row defaults to the record's values in key order.
+    """
+    if args.format == "json":
+        print(json.dumps(record, sort_keys=True))
+    elif args.format == "tsv":
+        print(tsv if tsv is not None else "\t".join(str(record[key]) for key in sorted(record)))
+    else:
+        print(text)
 
 
 # --- compute -----------------------------------------------------------------
 
 
-def _cmd_compute(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_compute(args: argparse.Namespace) -> int:
     params = SeqParams(args.N, args.j)
-    n_max = args.n_max if args.n_max is not None else config.default_n_max
-    table = compute_table(params, n_max)
+    table = compute_table(params, args.n_max)
     if not args.no_cache:
-        config.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = _cache_path(config, params)
+        args.cache_dir.mkdir(parents=True, exist_ok=True)
+        path = _cache_path(args, params)
         stored = table
         if path.exists():
             try:
                 existing = cache_load(params, path)
                 if existing.max_index > table.max_index:
                     stored = existing
-            except ValueError:
-                pass
+            except ValueError as exc:
+                print(f"warning: cache file {path.name} is unreadable, rewriting it: {exc}",
+                      file=sys.stderr)
         cache_store(stored, path)
     for n, value in enumerate(table.values):
         text = f"{value.numerator}/{value.denominator}"
-        if config.output_format == "json":
-            print(json.dumps({"n": n, "value": text}, sort_keys=True))
-        elif config.output_format == "tsv":
-            print(f"{n}\t{text}")
-        else:
-            print(f"{n} {text}")
+        _emit(args, {"n": n, "value": text}, f"{n} {text}")
     return 0
 
 
 # --- verify --------------------------------------------------------------
 
 
-def _emit_report(report: congruences.CongruenceReport, config: RunConfig) -> int:
-    if config.output_format == "json":
-        print(report.to_json())
-    elif config.output_format == "tsv":
-        print(
-            f"{report.theorem_id}\t{report.param_summary}\t{report.instances_checked}\t"
-            f"{report.status}\t{json.dumps(report.failures, sort_keys=True)}"
-        )
-    else:
-        print(report.render_text())
-    return 0 if report.passed else 1
-
-
-def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     theorem = args.theorem
     if theorem == "main":
         report = congruences.check_main_theorem(args.p, args.j, args.r, _parse_range(args.n))
@@ -146,48 +120,42 @@ def _cmd_verify(args: argparse.Namespace, config: RunConfig) -> int:
         report = congruences.verify_lemma_Xm(args.p, args.m, args.order)
     else:  # lemma-series
         report = congruences.verify_lemma_series(args.n_max)
-    return _emit_report(report, config)
+    tsv = (
+        f"{report.theorem_id}\t{report.param_summary}\t{report.instances_checked}\t"
+        f"{report.status}\t{json.dumps(report.failures, sort_keys=True)}"
+    )
+    _emit(args, report.to_dict(), report.render_text(), tsv)
+    return 0 if report.passed else 1
 
 
 # --- scan ----------------------------------------------------------------
 
 
-def _cmd_scan(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_scan(args: argparse.Namespace) -> int:
     if args.appendix_b:
-        outcomes = run_reference_scan(jobs=config.parallelism, progress=True)
+        outcomes = run_reference_scan(progress=True)
         results = [outcome.result for outcome in outcomes]
-        print(emit_table(results, config.output_format))
+        print(emit_table(results, args.format))
         return 0 if all(o.matches for o in outcomes) else 1
     if args.grid is not None:
         spec = json.loads(Path(args.grid).read_text())
-        tuples = [(row["p"], row["m"], row["j"], row["r"], row.get("n_max")) for row in spec]
-        if config.parallelism > 1:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                results = list(pool.map(lambda t: scan_conjecture(*t), tuples))
-        else:
-            results = [scan_conjecture(*t) for t in tuples]
-        print(emit_table(results, config.output_format))
+        results = [
+            scan_conjecture(row["p"], row["m"], row["j"], row["r"], row.get("n_max"))
+            for row in spec
+        ]
+        print(emit_table(results, args.format))
         return 0 if all(r.status == "ok" for r in results) else 1
     if args.p is None or args.m is None or args.j is None or args.r is None:
         raise ValueError("scan: provide --p --m --j --r, or --appendix-b, or --grid")
     result = scan_conjecture(args.p, args.m, args.j, args.r, args.n_max)
-    print(emit_table([result], config.output_format))
+    print(emit_table([result], args.format))
     return 0 if result.status == "ok" else 1
 
 
 # --- identities ------------------------------------------------------------
 
 
-def _print_record(record: dict, config: RunConfig, text: str) -> None:
-    if config.output_format == "json":
-        print(json.dumps(record, sort_keys=True))
-    elif config.output_format == "tsv":
-        print("\t".join(str(record[key]) for key in sorted(record)))
-    else:
-        print(text)
-
-
-def _cmd_identities(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_identities(args: argparse.Namespace) -> int:
     target = args.target
     ok = True
     if target == "zeta":
@@ -205,16 +173,16 @@ def _cmd_identities(args: argparse.Namespace, config: RunConfig) -> int:
                     "rhs_coefficient": str(rhs.coefficient),
                     "equal": equal,
                 }
-                _print_record(
-                    record, config,
+                _emit(
+                    args, record,
                     f"{formula.value} n={n}: pi^{lhs.degree} * {lhs.coefficient} "
                     f"{'==' if equal else '!='} {rhs.coefficient}",
                 )
     elif target == "bernoulli":
         for formula in BernoulliFormulaId:
-            min_n = 0 if formula.value in ("b4n_via_42", "b6n_via_63") else 1
-            for n in range(min_n, args.n_max + 1):
-                lhs = bernoulli(_bernoulli_index(formula, n))
+            display = BERNOULLI_DISPLAYS[formula]
+            for n in range(display.min_n, args.n_max + 1):
+                lhs = bernoulli(display.index(n))
                 rhs = bernoulli_formula_value(formula, n)
                 equal = lhs == rhs
                 ok &= equal
@@ -225,8 +193,8 @@ def _cmd_identities(args: argparse.Namespace, config: RunConfig) -> int:
                     "rhs": str(rhs),
                     "equal": equal,
                 }
-                _print_record(
-                    record, config,
+                _emit(
+                    args, record,
                     f"{formula.value} n={n}: {lhs} {'==' if equal else '!='} {rhs}",
                 )
     elif target == "zeros":
@@ -246,8 +214,8 @@ def _cmd_identities(args: argparse.Namespace, config: RunConfig) -> int:
                 "distance_to_closed_form": distance,
                 "ok": good,
             }
-            _print_record(
-                record, config,
+            _emit(
+                args, record,
                 f"H_({N},{j}) zero k={k} l={l}: {located:.12g} residual={residual:.2e} "
                 f"off-lattice={distance:.2e}",
             )
@@ -257,40 +225,27 @@ def _cmd_identities(args: argparse.Namespace, config: RunConfig) -> int:
                 good = check_special_values(k, l)
                 ok &= good
                 record = {"k": k, "l": l, "ok": good}
-                _print_record(record, config, f"special values k={k} l={l}: {good}")
+                _emit(args, record, f"special values k={k} l={l}: {good}")
     else:  # radius
         estimate = ratio_radius(SeqParams(args.N, args.j), args.n_max)
         record = {"N": args.N, "j": args.j, "n_max": args.n_max, "radius_over_pi": estimate}
-        _print_record(record, config, f"radius/pi estimate for ({args.N},{args.j}): {estimate:.9f}")
+        _emit(args, record, f"radius/pi estimate for ({args.N},{args.j}): {estimate:.9f}")
     return 0 if ok else 1
-
-
-def _bernoulli_index(formula: BernoulliFormulaId, n: int) -> int:
-    return {
-        BernoulliFormulaId.b4n_via_40: 4 * n,
-        BernoulliFormulaId.b4n2_via_40: 4 * n - 2,
-        BernoulliFormulaId.b4n_via_42: 4 * n,
-        BernoulliFormulaId.b4n2_via_42: 4 * n - 2,
-        BernoulliFormulaId.b6n_via_63: 6 * n,
-        BernoulliFormulaId.b6n4_via_63: 6 * n - 4,
-    }[formula]
 
 
 # --- cache -----------------------------------------------------------------
 
 
-def _cmd_cache(args: argparse.Namespace, config: RunConfig) -> int:
-    config.cache_dir.mkdir(parents=True, exist_ok=True)
-    files = sorted(config.cache_dir.glob("euler_N*_j*.txt"))
+def _cmd_cache(args: argparse.Namespace) -> int:
+    args.cache_dir.mkdir(parents=True, exist_ok=True)
+    files = sorted(args.cache_dir.glob("euler_N*_j*.txt"))
     if args.action == "inspect":
         for path in files:
             header = path.read_text().splitlines()[0] if path.stat().st_size else "(empty)"
             entries = max(0, len(path.read_text().splitlines()) - 1)
             record = {"file": path.name, "header": header, "entries": entries}
-            if config.output_format == "json":
-                print(json.dumps(record, sort_keys=True))
-            else:
-                print(f"{path.name}: {header} ({entries} entries)")
+            text = f"{path.name}: {header} ({entries} entries)"
+            _emit(args, record, text, tsv=text)  # no TSV form: the row is the text line
         return 0
     for path in files:  # clear
         path.unlink()
@@ -313,14 +268,15 @@ def build_parser() -> argparse.ArgumentParser:
         "verification, residue-period scans, and zeta identity checks.",
     )
     parser.add_argument("--format", choices=("text", "tsv", "json"), default="text")
-    parser.add_argument("--cache-dir", default=str(DEFAULT_CACHE_DIR))
-    parser.add_argument("--jobs", type=int, default=1, help="parallel parameter tuples")
+    parser.add_argument(
+        "--cache-dir", type=lambda text: Path(text).expanduser(), default=str(DEFAULT_CACHE_DIR)
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="print a table of E_{Nn}^{(N,j)}")
     p_compute.add_argument("--N", type=int, required=True)
     p_compute.add_argument("--j", type=int, required=True)
-    p_compute.add_argument("--n-max", type=int, default=None)
+    p_compute.add_argument("--n-max", type=int, default=30)
     p_compute.add_argument("--no-cache", action="store_true")
     p_compute.set_defaults(handler=_cmd_compute)
 
@@ -399,9 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # table entries outgrow the default 4300-digit limit
     try:
-        config = RunConfig.from_args(args)
-        return args.handler(args, config)
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -68,27 +68,18 @@ class SeqTable:
 
 
 # Append-only memo, one list per (N, j).  The recurrence is strictly
-# lower-triangular, so entries never change once computed; distinct params
-# may be extended concurrently, a single params is extended under its lock.
+# lower-triangular, so entries never change once computed; one lock is held
+# across look-up and extension, so callers on several threads may share it.
 _TABLES: dict[SeqParams, list[Fraction]] = {}
-_TABLE_LOCKS: dict[SeqParams, threading.Lock] = {}
-_REGISTRY_LOCK = threading.Lock()
-
-
-def _table_state(params: SeqParams) -> tuple[list[Fraction], threading.Lock]:
-    with _REGISTRY_LOCK:
-        if params not in _TABLES:
-            _TABLES[params] = [Fraction(factorial(params.j))]
-            _TABLE_LOCKS[params] = threading.Lock()
-        return _TABLES[params], _TABLE_LOCKS[params]
+_LOCK = threading.Lock()
 
 
 def _extend(params: SeqParams, n_max: int) -> list[Fraction]:
-    values, lock = _table_state(params)
-    if len(values) > n_max:
-        return values
     N, j = params.N, params.j
-    with lock:
+    with _LOCK:
+        values = _TABLES.get(params)
+        if values is None:
+            values = _TABLES[params] = [Fraction(factorial(j))]
         for n in range(len(values), n_max + 1):
             top = N * n + j
             acc = Fraction(0)

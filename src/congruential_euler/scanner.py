@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Optional
 
 from .engine import SeqParams, compute_table
-from .exact import is_prime
+from .exact import is_prime, residue_mod_prime_power
 
 __all__ = [
     "PeriodDetection",
@@ -147,7 +146,6 @@ def scan_conjecture(
         n_max = default_scan_window(p, m, r)
 
     table = compute_table(SeqParams(mp, j), n_max)
-    modulus = p**r
     residues: list[int] = []
     for n, value in enumerate(table.values):
         if value.denominator % p == 0:
@@ -156,11 +154,7 @@ def scan_conjecture(
                 conjecture_period=conjecture_period,
                 note=f"denominator of entry n={n} is divisible by {p}",
             )
-        residues.append(
-            (value.numerator % modulus)
-            * pow(value.denominator % modulus, -1, modulus)
-            % modulus
-        )
+        residues.append(residue_mod_prime_power(value, p, r))
 
     found = detect_eventual_period(residues, max_period_table)
     if found.status != "found":
@@ -314,24 +308,18 @@ def _reference_outcome(row: ReferenceRow) -> ReferenceOutcome:
     return outcome
 
 
-def run_reference_scan(jobs: int = 1, progress: bool = False) -> list[ReferenceOutcome]:
+def run_reference_scan(progress: bool = False) -> list[ReferenceOutcome]:
     """Scan every published row (plus the disambiguation companions).
 
-    Returns outcomes in the printed row order regardless of the level of
-    parallelism; progress goes to stderr only.
+    Returns outcomes in the printed row order; progress goes to stderr only.
     """
-    rows = REFERENCE_ROWS
-
-    def work(row: ReferenceRow) -> ReferenceOutcome:
+    outcomes = []
+    for row in REFERENCE_ROWS:
         if progress:
             print(
                 f"scanning (mp,j)=({row.mp},{row.j}) p={row.p} r={row.r} ...",
                 file=sys.stderr,
                 flush=True,
             )
-        return _reference_outcome(row)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(work, rows))
-    return [work(row) for row in rows]
+        outcomes.append(_reference_outcome(row))
+    return outcomes

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import json
+import sys
 
 import pytest
 
@@ -11,6 +12,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Run with Python's default int/str digit limit, restoring the old one after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 class TestCompute:
@@ -53,6 +65,29 @@ class TestCompute:
         _, cold, _ = run(capsys, *args)
         _, warm, _ = run(capsys, *args)
         assert cold == warm
+
+    def test_entries_beyond_the_int_str_digit_limit(self, capsys, tmp_path, default_digit_limit):
+        args = ("--cache-dir", str(tmp_path), "compute", "--N", "42", "--j", "9",
+                "--n-max", "70")
+        code, cold, _ = run(capsys, *args)
+        assert code == 0
+        assert len(cold.splitlines()) == 71
+        assert max(len(line) for line in cold.splitlines()) > 4300
+        code, warm, _ = run(capsys, *args)
+        assert code == 0
+        assert warm == cold
+        assert len((tmp_path / "euler_N42_j9.txt").read_text().splitlines()) == 72
+
+    def test_corrupt_cache_warns_and_is_rewritten(self, capsys, tmp_path):
+        path = tmp_path / "euler_N3_j0.txt"
+        path.write_text("garbage\n")
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", "3",
+                             "--j", "0", "--n-max", "2")
+        assert code == 0
+        assert out == "0 1/1\n1 -1/1\n2 19/1\n"
+        assert "euler_N3_j0.txt" in err
+        assert "bad header 'garbage'" in err
+        assert path.read_text().splitlines()[0] == "congruential-euler-cache v1 N=3 j=0"
 
     def test_populates_cache(self, capsys, tmp_path):
         run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", "3", "--j", "0",
@@ -155,18 +190,6 @@ class TestScan:
         rows = [json.loads(line) for line in out.splitlines()]
         assert len(rows) == 2
         assert all(row["status"] == "ok" for row in rows)
-
-    def test_jobs_flag_gives_same_output(self, capsys, tmp_path):
-        grid = tmp_path / "grid.json"
-        grid.write_text(json.dumps([
-            {"p": 3, "m": 2, "j": 1, "r": 1},
-            {"p": 3, "m": 2, "j": 3, "r": 2},
-        ]))
-        _, serial, _ = run(capsys, "--cache-dir", str(tmp_path), "scan", "--grid", str(grid))
-        _, parallel, _ = run(
-            capsys, "--jobs", "4", "--cache-dir", str(tmp_path), "scan", "--grid", str(grid)
-        )
-        assert serial == parallel
 
 
 class TestIdentities:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from congruential_euler import congruences
 from congruential_euler.congruences import (
     CongruenceReport,
     DeltaExponent,
@@ -206,3 +207,18 @@ def test_reports_are_deterministic():
     a = check_main_theorem(3, 0, 1, range(0, 10)).to_json()
     b = check_main_theorem(3, 0, 1, range(0, 10)).to_json()
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "check, index",
+    [
+        (lambda: check_komatsu_liu(1, [(0, 6)]), 0),
+        (lambda: check_gessel(2, 1, 1, [0]), 0),
+        (lambda: check_special_40(1, [0]), 1),  # the shifted side is read first
+    ],
+    ids=["komatsu_liu", "gessel", "special_40"],
+)
+def test_non_integer_value_is_an_arithmetic_fault(check, index, monkeypatch):
+    monkeypatch.setattr(congruences, "euler_number", lambda params, n: Fraction(1, 2))
+    with pytest.raises(ArithmeticError, match=f"table index n={index} is not an integer"):
+        check()
