@@ -43,6 +43,7 @@ from .engine import (
     compute_table,
     euler_number,
     oracle_table,
+    residue_table,
 )
 from .exact import (
     EgfSeries,

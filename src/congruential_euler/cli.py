@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -29,7 +30,14 @@ from .analytic import (
     locate_zero,
     ratio_radius,
 )
-from .engine import SeqParams, cache_load, cache_store, compute_table
+from .engine import (
+    CacheFormatError,
+    SeqParams,
+    cache_header,
+    cache_load,
+    cache_store,
+    compute_table,
+)
 from .scanner import emit_table, run_reference_scan, scan_conjecture
 
 DEFAULT_CACHE_DIR = Path(os.environ.get("CEULER_CACHE_DIR", "~/.cache/congruential-euler"))
@@ -59,6 +67,9 @@ def _parse_pairs(texts: list[str]) -> list[tuple[int, int]]:
 
 def _cache_path(args: argparse.Namespace, params: SeqParams) -> Path:
     return args.cache_dir / f"euler_N{params.N}_j{params.j}.txt"
+
+
+_CACHE_NAME = re.compile(r"euler_N([1-9]\d*)_j(\d+)\.txt")  # the inverse of _cache_path
 
 
 def _emit(args: argparse.Namespace, record: dict, text: str, tsv: Optional[str] = None) -> None:
@@ -139,10 +150,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         return 0 if all(o.matches for o in outcomes) else 1
     if args.grid is not None:
         spec = json.loads(Path(args.grid).read_text())
-        results = [
-            scan_conjecture(row["p"], row["m"], row["j"], row["r"], row.get("n_max"))
-            for row in spec
-        ]
+        results = [scan_conjecture(*row) for row in _grid_rows(spec)]
         print(emit_table(results, args.format))
         return 0 if all(r.status == "ok" for r in results) else 1
     if args.p is None or args.m is None or args.j is None or args.r is None:
@@ -150,6 +158,26 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     result = scan_conjecture(args.p, args.m, args.j, args.r, args.n_max)
     print(emit_table([result], args.format))
     return 0 if result.status == "ok" else 1
+
+
+def _grid_rows(spec) -> list[tuple]:
+    """Check a parsed grid file and return its rows as (p, m, j, r, n_max)."""
+    if not isinstance(spec, list):
+        raise ValueError("grid: expected a JSON list of scans")
+    rows = []
+    for index, row in enumerate(spec):
+        if not isinstance(row, dict):
+            raise ValueError(f"grid row {index}: expected an object with keys p, m, j, r")
+        scan = []
+        for key in ("p", "m", "j", "r", "n_max"):
+            if key not in row and key != "n_max":
+                raise ValueError(f"grid row {index}: missing key {key!r}")
+            value = row.get(key)
+            if type(value) is not int and (key != "n_max" or value is not None):
+                raise ValueError(f"grid row {index}: key {key!r} must be an integer")
+            scan.append(value)
+        rows.append(tuple(scan))
+    return rows
 
 
 # --- identities ------------------------------------------------------------
@@ -240,13 +268,22 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     args.cache_dir.mkdir(parents=True, exist_ok=True)
     files = sorted(args.cache_dir.glob("euler_N*_j*.txt"))
     if args.action == "inspect":
+        bad = 0
         for path in files:
-            header = path.read_text().splitlines()[0] if path.stat().st_size else "(empty)"
-            entries = max(0, len(path.read_text().splitlines()) - 1)
+            name = _CACHE_NAME.fullmatch(path.name)
+            try:
+                if name is None:
+                    raise CacheFormatError(f"{path}: file name does not give N >= 1 and j")
+                table = cache_load(SeqParams(int(name[1]), int(name[2])), path)
+            except (ValueError, OSError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                bad += 1
+                continue
+            header, entries = cache_header(table.params), len(table.values)
             record = {"file": path.name, "header": header, "entries": entries}
             text = f"{path.name}: {header} ({entries} entries)"
             _emit(args, record, text, tsv=text)  # no TSV form: the row is the text line
-        return 0
+        return 2 if bad else 0
     for path in files:  # clear
         path.unlink()
     print(f"removed {len(files)} cache file(s)", file=sys.stderr)

@@ -8,10 +8,13 @@ Tables are filled by the lower-triangular recurrence
     sum_{m=0}^{n} C(Nn+j, Nm) E_{Nm} = (j! if n = 0 else 0)
 
 and can be cross-checked against an independent series-inversion oracle.
+:func:`residue_table` runs the same recurrence in Z/p^R and returns the
+values mod p^r without building the exact rationals.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import threading
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from math import comb, factorial
 from pathlib import Path
 from typing import Optional, Union
 
-from .exact import exp_section, series_invert, series_shift_down
+from .exact import exp_section, is_prime, series_invert, series_shift_down
 
 __all__ = [
     "SeqParams",
@@ -28,6 +31,8 @@ __all__ = [
     "euler_number",
     "compute_table",
     "oracle_table",
+    "residue_table",
+    "cache_header",
     "cache_store",
     "cache_load",
     "CacheFormatError",
@@ -120,17 +125,111 @@ def oracle_table(params: SeqParams, n_max: int) -> SeqTable:
     return SeqTable(params, values)
 
 
+def residue_table(params: SeqParams, p: int, r: int, n_max: int) -> list[int]:
+    """Residues mod p^r of E_{Nn}^{(N,j)} for n = 0..n_max, by the recurrence in Z/p^R.
+
+    The list stops at the first entry that is not p-integral: a result of
+    length L <= n_max means entry L has p in its denominator, while entries
+    0..L-1 do not.
+
+    Write C(Nn+j, j) = p^{v_n} * (a unit) and S_n = sum_{m<n} C(Nn+j, Nm) E_m,
+    so that E_0 = j! and E_n = -S_n / C(Nn+j, j) for n >= 1.  Everything is
+    computed modulo p^R with R = r + v_1 + ... + v_{n_max}.  Binomials come
+    from the Legendre exponents e(k) = v_p(k!) and the p-free factorials
+    u(k) = k! / p^{e(k)} mod p^R:
+
+        C(a, b) = p^{e(a)-e(b)-e(a-b)} * u(a) * u(b)^-1 * u(a-b)^-1,
+
+    where the exponent is Kummer's carry count (a term whose exponent
+    reaches R vanishes mod p^R).  The loop keeps E_m * u(Nm)^-1 and divides
+    S_n by the unit u(Nn+j); unit factors change neither a valuation nor
+    the precision below.
+
+    Precision, by induction on n while E_0..E_{n-1} are p-integral: the
+    computed E_n agrees with the exact one mod p^{P_n}, P_n = r + sum_{k>n} v_k.
+    For n = 0, E_0 = j! is exact and P_0 = R.  For n >= 1 the binomials are
+    exact mod p^R and P_m >= P_{n-1} for m < n, so S_n is right mod
+    p^{P_{n-1}} = p^{v_n + P_n}.  That decides whether p^{v_n} divides S_n,
+    which holds exactly when E_n is p-integral; if it does, S_n / p^{v_n},
+    and with it E_n, is right mod p^{P_n}.  Every P_n >= r, so each
+    returned residue is exact mod p^r.
+    """
+    if not is_prime(p):
+        raise ValueError(f"residue_table: {p} is not prime")
+    if r < 1:
+        raise ValueError("residue_table: r must be positive")
+    if n_max < 0:
+        raise ValueError("residue_table: n_max must be nonnegative")
+    N, j = params.N, params.j
+    top = N * n_max + j
+    legendre = [0] * (top + 1)  # e(k) = v_p(k!)
+    units = [1] * (top + 1)  # k with every factor p removed
+    for k in range(1, top + 1):
+        unit, v = k, 0
+        while unit % p == 0:
+            unit //= p
+            v += 1
+        legendre[k] = legendre[k - 1] + v
+        units[k] = unit
+    seed_exp = [legendre[N * n + j] for n in range(n_max + 1)]  # e(Nn+j)
+    step_exp = [legendre[N * n] for n in range(n_max + 1)]  # e(Nn)
+    drops = [seed_exp[n] - seed_exp[0] - step_exp[n] for n in range(n_max + 1)]  # v_n
+    R = r + sum(drops)
+    modulus = p**R
+    factorials = [1] * (top + 1)  # u(k) mod p^R
+    for k in range(1, top + 1):
+        factorials[k] = factorials[k - 1] * units[k] % modulus
+    inverses = [1] * (top + 1)  # u(k)^-1 mod p^R
+    inverses[top] = pow(factorials[top], -1, modulus)
+    for k in range(top, 0, -1):
+        inverses[k - 1] = inverses[k] * units[k] % modulus
+    powers = [p**k if k < R else 0 for k in range(legendre[top] + 1)]
+    seed_inv = [inverses[N * n + j] for n in range(n_max + 1)]
+    target = p**r
+    scaled = [factorial(j) % modulus]  # E_m * u(Nm)^-1
+    residues = [scaled[0] % target]
+    for n in range(1, n_max + 1):
+        total = sum(
+            powers[seed_exp[n] - step_exp[m] - seed_exp[n - m]] * scaled[m] * seed_inv[n - m]
+            for m in range(n)
+        ) % modulus  # S_n * u(Nn+j)^-1
+        if total % p ** drops[n]:
+            break
+        scaled.append(-(total // p ** drops[n]) * factorials[j] % modulus)
+        residues.append(scaled[n] * factorials[N * n] % target)
+    return residues
+
+
 class CacheFormatError(ValueError):
     """Raised when a cache file is malformed; the message names the line."""
 
 
+def cache_header(params: SeqParams) -> str:
+    """First line of the cache file for ``params``."""
+    return f"{CACHE_HEADER_VERSION} N={params.N} j={params.j}"
+
+
 def cache_store(table: SeqTable, path: Union[str, Path]) -> None:
-    """Write a table as decimal text, one `<n> <num>/<den>` entry per line."""
+    """Write a table as decimal text, one `<n> <num>/<den>` entry per line.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces ``path`` in one step: a failed write leaves any earlier file
+    as it was and no temporary file behind.
+    """
     path = Path(path)
-    lines = [f"{CACHE_HEADER_VERSION} N={table.params.N} j={table.params.j}"]
+    lines = [cache_header(table.params)]
     for n, value in enumerate(table.values):
         lines.append(f"{n} {value.numerator}/{value.denominator}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    # one writer per process and thread owns this name; the file gets the
+    # usual permissions, which mkstemp's private mode would not give
+    temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(temp, "w", encoding="ascii") as handle:
+            handle.write("\n".join(lines) + "\n")
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 _HEADER_RE = re.compile(r"^congruential-euler-cache v1 N=(\d+) j=(\d+)$")
@@ -142,7 +241,10 @@ def cache_load(
 ) -> SeqTable:
     """Load a table back; a file longer than requested returns the prefix."""
     path = Path(path)
-    lines = path.read_text(encoding="ascii").splitlines()
+    try:
+        lines = path.read_text(encoding="ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(f"{path}: not ASCII text: {exc}") from None
     if not lines:
         raise CacheFormatError(f"{path}: line 1: empty cache file")
     header = _HEADER_RE.match(lines[0])

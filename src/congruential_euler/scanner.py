@@ -3,9 +3,11 @@
 For a prime p, a factor m with m | p-1 or m = 2, and 0 <= j < mp, the
 sequence E_{mpn}^{(mp,j)} reduced mod p^r is expected to be eventually
 periodic with period dividing q*p^r (q = lcm(2, p-1), period measured in
-absolute subscript units).  The scanner computes exact values, checks
-p-integrality, detects the minimal eventual period of the residue
-sequence, and reproduces the published numerical tables.
+absolute subscript units).  The scanner runs the recurrence directly in
+Z/p^R through :func:`engine.residue_table`, whose precision bound makes
+every residue exact mod p^r, stops at the first entry that is not
+p-integral, detects the minimal eventual period of the residue sequence,
+and reproduces the published numerical tables.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 from math import lcm
 from typing import Iterable, Optional
 
-from .engine import SeqParams, compute_table
-from .exact import is_prime, residue_mod_prime_power
+from .engine import SeqParams, residue_table
+from .exact import is_prime
 
 __all__ = [
     "PeriodDetection",
@@ -121,9 +123,9 @@ def scan_conjecture(
 ) -> PeriodScanResult:
     """Scan residues of E_{mpn}^{(mp,j)} mod p^r for an eventual period.
 
-    Values are computed exactly and their p-integrality is asserted first;
-    a p in any denominator is itself reportable evidence and yields an
-    ``integrality_failed`` result.  The detected period is converted to
+    Residues come from :func:`engine.residue_table`, which never builds the
+    exact rationals; a p in any denominator is itself reportable evidence
+    and yields an ``integrality_failed`` result naming the first such entry.  The detected period is converted to
     absolute subscript units and compared against the conjectured bound
     q*p^r.  Findings are empirical, never proofs.
     """
@@ -145,16 +147,13 @@ def scan_conjecture(
     if n_max is None:
         n_max = default_scan_window(p, m, r)
 
-    table = compute_table(SeqParams(mp, j), n_max)
-    residues: list[int] = []
-    for n, value in enumerate(table.values):
-        if value.denominator % p == 0:
-            return PeriodScanResult(
-                p, m, j, r, n_max, "integrality_failed",
-                conjecture_period=conjecture_period,
-                note=f"denominator of entry n={n} is divisible by {p}",
-            )
-        residues.append(residue_mod_prime_power(value, p, r))
+    residues = residue_table(SeqParams(mp, j), p, r, n_max)
+    if len(residues) <= n_max:
+        return PeriodScanResult(
+            p, m, j, r, n_max, "integrality_failed",
+            conjecture_period=conjecture_period,
+            note=f"denominator of entry n={len(residues)} is divisible by {p}",
+        )
 
     found = detect_eventual_period(residues, max_period_table)
     if found.status != "found":

@@ -191,6 +191,20 @@ class TestScan:
         assert len(rows) == 2
         assert all(row["status"] == "ok" for row in rows)
 
+    @pytest.mark.parametrize("spec,message", [
+        ([{"p": 3, "m": 2, "j": 1, "r": 1}, {"p": 3, "m": 2, "j": 1}], "grid row 1: missing key 'r'"),
+        ([{"p": 3, "m": 2, "j": 1, "r": 1}, [3, 2, 1, 1]], "grid row 1: expected an object"),
+        ([{"p": 3, "m": 2, "j": 1, "r": "1"}], "grid row 0: key 'r' must be an integer"),
+    ])
+    def test_malformed_grid_row_exit_2(self, capsys, tmp_path, spec, message):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(spec))
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "scan", "--grid", str(grid))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
+
 
 class TestIdentities:
     def test_zeta_all_equal(self, capsys, tmp_path):
@@ -258,6 +272,20 @@ class TestCache:
         assert code == 0
         payload = json.loads(out.splitlines()[0])
         assert payload["entries"] == 4
+
+    def test_inspect_reports_corrupt_files(self, capsys, tmp_path):
+        run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", "2", "--j", "0",
+            "--n-max", "3")
+        (tmp_path / "euler_N3_j0.txt").write_text("garbage\n")
+        (tmp_path / "euler_N4_j2.txt").write_text("congruential-euler-cache v1 N=4 j=1\n0 1/1\n")
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "cache", "inspect")
+        assert code == 2
+        assert out == "euler_N2_j0.txt: congruential-euler-cache v1 N=2 j=0 (4 entries)\n"
+        errors = err.splitlines()
+        assert len(errors) == 2
+        assert errors[0].startswith("error: ") and "euler_N3_j0.txt" in errors[0]
+        assert "bad header 'garbage'" in errors[0]
+        assert "euler_N4_j2.txt" in errors[1] and "requested N=4 j=2" in errors[1]
 
 
 def test_usage_error_exit_code():

@@ -46,6 +46,7 @@ COMMANDS = [
     (["scan", "--p", "5", "--m", "1", "--j", "2", "--r", "1"], []),
     (["scan", "--p", "3", "--m", "1", "--j", "0", "--r", "2", "--n-max", "12"], []),
     (["scan", "--grid", "{grid}"], []),
+    (["scan", "--appendix-b"], []),
     (["identities", "zeta", "--n-max", "2"], []),
     (["identities", "bernoulli", "--n-max", "2"], []),
     (["identities", "special-values", "--k-max", "1"], []),

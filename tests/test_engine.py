@@ -1,8 +1,11 @@
 """Tests for the table engine, its series oracle, and the disk cache."""
 
+import resource
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congruential_euler.engine import (
     CacheFormatError,
@@ -13,7 +16,9 @@ from congruential_euler.engine import (
     compute_table,
     euler_number,
     oracle_table,
+    residue_table,
 )
+from congruential_euler.exact import residue_mod_prime_power
 
 
 class TestRecurrence:
@@ -76,6 +81,50 @@ def test_oracle_bernoulli_odd_indices_vanish():
     values = oracle_table(SeqParams(1, 1), 12).values
     assert values[1] == Fraction(-1, 2)
     assert all(values[n] == 0 for n in range(3, 13, 2))
+
+
+class TestResidueTable:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        N=st.integers(1, 12),
+        j=st.integers(0, 12),
+        p=st.sampled_from((2, 3, 5, 7, 11)),
+        r=st.integers(1, 4),
+        n_max=st.integers(0, 20),
+    )
+    def test_matches_exact_residues(self, N, j, p, r, n_max):
+        expected = []
+        for value in compute_table(SeqParams(N, j), n_max).values:
+            if value.denominator % p == 0:
+                break  # the residue table stops at the first non-integral entry
+            expected.append(residue_mod_prime_power(value, p, r))
+        assert residue_table(SeqParams(N, j), p, r, n_max) == expected
+
+    def test_bernoulli_stops_at_b1_for_p_2(self):
+        # B_1 = -1/2
+        assert len(residue_table(SeqParams(1, 1), 2, 3, 6)) == 1
+
+    def test_bernoulli_stops_at_b2_for_p_3(self):
+        # B_1 = -1/2 = 13 mod 27, then B_2 = 1/6
+        assert residue_table(SeqParams(1, 1), 3, 3, 6) == [1, 13]
+
+    def test_six_three_cycle_mod_9(self):
+        values = residue_table(SeqParams(6, 3), 3, 2, 10)
+        assert values[:2] == [6, 7]
+        assert values[1:10] == [7, 1, 4] * 3
+
+    def test_precision_beyond_the_target(self):
+        # j >= p: each division by C(6n+3, 3) costs v_3(2n+1) digits of precision
+        params = SeqParams(6, 3)
+        exact = oracle_table(params, 60).values
+        assert residue_table(params, 3, 5, 60) == [
+            residue_mod_prime_power(value, 3, 5) for value in exact
+        ]
+
+    @pytest.mark.parametrize("p,r,n_max", [(4, 1, 5), (3, 0, 5), (3, 1, -1)])
+    def test_invalid_arguments(self, p, r, n_max):
+        with pytest.raises(ValueError):
+            residue_table(SeqParams(2, 0), p, r, n_max)
 
 
 class TestIntegrality:
@@ -176,3 +225,19 @@ class TestCache:
         assert path.read_text() == (
             "congruential-euler-cache v1 N=4 j=2\n0 2/1\n1 -2/15\n"
         )
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "euler.txt"
+        cache_store(compute_table(SeqParams(2, 0), 3), path)
+        before = path.read_bytes()
+        # a file-size limit on this process makes the write fail part-way
+        # (EFBIG), as a full disk would
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (64, hard))
+        try:
+            with pytest.raises(OSError):
+                cache_store(compute_table(SeqParams(2, 0), 30), path)
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        assert path.read_bytes() == before
+        assert [entry.name for entry in tmp_path.iterdir()] == ["euler.txt"]

@@ -104,6 +104,16 @@ class TestScan:
         result = scan_conjecture(3, 2, 3, 2, n_max=5)
         assert result.status == "inconclusive"
 
+    def test_short_residue_table_is_an_integrality_failure(self, monkeypatch):
+        # a residue table of length L <= n_max means entry L is not p-integral
+        from congruential_euler import scanner
+
+        monkeypatch.setattr(scanner, "residue_table", lambda params, p, r, n_max: [6, 7, 1])
+        result = scan_conjecture(3, 2, 3, 2, n_max=30)
+        assert result.status == "integrality_failed"
+        assert result.note == "denominator of entry n=3 is divisible by 3"
+        assert result.cycle == [] and result.n0 is None
+
     def test_minimality_certified_over_divisors(self):
         # no proper divisor of the detected period is itself a period
         result = scan_conjecture(3, 2, 3, 3)
