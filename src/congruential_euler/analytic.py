@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,6 +39,7 @@ __all__ = [
     "predicted_zero",
     "family_zeros",
     "locate_zero",
+    "rounding_floor",
     "check_special_values",
     "find_zeros_in_disk",
     "extraneous_zeros",
@@ -311,7 +313,23 @@ _EXP_LIMIT = 700.0  # beyond this, exp overflows doubles
 
 
 def eval_H(N: int, j: int, z: complex) -> complex:
-    """Evaluate H_{N,j}(z) = (1/N) sum_k zeta_N^{-kj} exp(zeta_N^k z)."""
+    """Evaluate H_{N,j}(z) = (1/N) sum_k zeta_N^{-kj} exp(zeta_N^k z).
+
+    Rounding bound: for |z| <= 700 and a libm whose exp, sin and cos are
+    correct to one ulp, the returned value differs from H_{N,j}(z) by at
+    most 16 (N + |z| + 1) eps M(z), where eps is the double epsilon and
+    M(z) = (1/N) sum_k exp(Re(zeta_N^k z)) = (1/N) sum_k |kth term| (so
+    |H_{N,m}(z)| <= M(z) for every m).  With u = eps/2: each root of unity
+    comes from an angle below 2 pi with relative error 3u, so it is off by
+    at most 22u, and the product with z by at most 25u |z|.  exp turns that
+    absolute error in the exponent into a relative error of the term, plus
+    about 5u for exp, sin and cos themselves.  The phase factor's angle is
+    below 2 pi N, which gives 25uN + 3u more, and the product 3u.  So each
+    term carries a relative error below (25|z| + 25N + 11)u; summing N terms
+    adds 1.42 (N-1) u sum |terms| and the division u.  The bound is about
+    eps |z| M(z) for large |z|, not a fixed multiple of eps M(z), because
+    the roots of unity are rounded.
+    """
     if N < 1 or not 0 <= j < N:
         raise ValueError("eval_H: need N >= 1 and 0 <= j < N")
     if abs(z) > _EXP_LIMIT:
@@ -321,6 +339,24 @@ def eval_H(N: int, j: int, z: complex) -> complex:
         root = cmath.rect(1.0, 2.0 * math.pi * k / N)
         total += cmath.rect(1.0, -2.0 * math.pi * k * j / N) * cmath.exp(root * z)
     return total / N
+
+
+def _majorant(N: int, z: complex) -> float:
+    """M(z) = (1/N) sum_k exp(Re(zeta_N^k z)), which bounds every |H_{N,m}(z)|."""
+    return sum(math.exp((cmath.rect(1.0, 2.0 * math.pi * k / N) * z).real) for k in range(N)) / N
+
+
+def rounding_floor(N: int, z: complex, majorant: float | None = None) -> float:
+    """64 (N + |z| + 2) eps M(z), four times the rounding bound of eval_H.
+
+    A computed |H_{N,j}(z)| below this floor cannot be told apart from
+    zero.  It exceeds the rounding of eval_H at z plus that at a point up
+    to 1/2 away plus the rounding of the derivative bound (see
+    _edge_phase).  Pass ``majorant`` when M(z) is already known.
+    """
+    if majorant is None:
+        majorant = _majorant(N, z)
+    return 64.0 * (N + abs(z) + 2.0) * sys.float_info.epsilon * majorant
 
 
 def predicted_zero(family: tuple[int, int], k: int, l: int) -> complex:
@@ -369,24 +405,29 @@ def locate_zero(
     """Newton iteration z <- z - H(z)/H'(z) from a nearby guess.
 
     The derivative uses the index-shift rule H_{N,j}' = H_{N,j-1} (with
-    j = 0 wrapping to N-1).  Raises on non-convergence, reporting the
-    last iterate.
+    j = 0 wrapping to N-1).  The iterate is returned once its residual is
+    below ``tol``, or once the step has stalled and the residual is below
+    max(tol, rounding_floor(N, z)): beyond |z| of about 18 the rounding of
+    eval_H alone exceeds any fixed tolerance.  Raises on non-convergence,
+    reporting the last iterate.
     """
     z = complex(guess)
     j_prime = (j - 1) % N
-    residual = abs(eval_H(N, j, z))
+    value = eval_H(N, j, z)
+    residual = abs(value)
     for _ in range(max_steps):
         if residual < tol:
             return z
         derivative = eval_H(N, j_prime, z)
         if derivative == 0:
             raise ArithmeticError(f"locate_zero: zero derivative at {z}")
-        step = eval_H(N, j, z) / derivative
+        step = value / derivative
         z -= step
-        residual = abs(eval_H(N, j, z))
-        if abs(step) < 1e-15 * max(1.0, abs(z)) and residual < max(tol, 1e-10):
+        value = eval_H(N, j, z)
+        residual = abs(value)
+        if abs(step) < 1e-15 * max(1.0, abs(z)) and residual < max(tol, rounding_floor(N, z)):
             return z
-    if residual < tol:
+    if residual < max(tol, rounding_floor(N, z)):
         return z
     raise ArithmeticError(f"locate_zero: no convergence, last iterate {z} (|H|={residual:.3e})")
 
@@ -422,44 +463,164 @@ def check_special_values(k: int, l: int, rel_tol: float = 1e-8) -> bool:
     return True
 
 
-def find_zeros_in_disk(
-    N: int, j: int, radius: float, grid_step: float = 0.35
-) -> list[complex]:
-    """Newton-polish every grid start in the disk and dedupe the zeros found.
+def _taylor_bound(m: int, r: float) -> float:
+    """r^m/m! e^r >= sum_{k>=m} r^k/k!, so it bounds |H_{N,m}(w)| for |w| <= r."""
+    bound = math.exp(r)
+    for i in range(1, m + 1):
+        bound *= r / i
+    return bound
 
-    Returns zeros with |z| <= radius (including a zero at the origin when
-    present), clustered so that each zero appears once.
+
+def _edge_phase(N: int, j: int, a: complex, b: complex) -> float:
+    """Change of arg H_{N,j} along the segment from a to b, certified.
+
+    The segment is walked in pieces [p, p + h] with h <= 1/2.  The
+    derivative H_{N,j}' = H_{N,m}, m = (j-1) mod N, is bounded on the disk
+    |w - p| <= h in two ways: Re(zeta^k w) <= Re(zeta^k p) + h gives
+    |H'(w)| <= M(p) e^h, with M = _majorant; and the Taylor series
+    sum_n w^(Nn+m)/(Nn+m)! gives |H'(w)| <= r^m/m! e^r with r = |p| + h
+    (_taylor_bound), which is far smaller near the origin, where H has a
+    zero of order j.
+    With B the smaller bound, |H(w) - H(p)| <= h B on the disk.  A piece is
+    accepted when the computed value Hc(p) satisfies |Hc(p)| > h B + F(p),
+    F = rounding_floor; otherwise it is halved.  As h <= 1/2, M(p + h) <=
+    1.65 M(p), and by the rounding bound of eval_H, F(p) exceeds the
+    rounding error at p plus that at the piece's end plus the rounding of
+    h B itself.  Hence:
+
+    1. |H(w)| >= |H(p)| - h B > 0 on the closed disk of radius h about p:
+       H has no zero on or near the piece.
+    2. The path from Hc(p) straight to H(p), then along H over the piece,
+       then straight to the computed value at the piece's end, stays within
+       distance h B + (both rounding errors) < |Hc(p)| of Hc(p).  That disk
+       misses 0, and on it arg differs from arg Hc(p) by less than pi/2, so
+       the principal phase of (computed end / Hc(p)) is exactly the change
+       of arg along the path.
+    3. The straight connectors cancel between consecutive pieces, so the
+       phases summed around a closed polygon are 2 pi times the number of
+       zeros of H inside it (argument principle), up to the rounding of a
+       sum of a few thousand phases, far below pi.
+
+    A piece that cannot be accepted before h < 1e-9 max(1, |p|) means a
+    zero on or within about that distance of the segment: ArithmeticError
+    is raised rather than a count guessed.
     """
+    m = (j - 1) % N
+    length = abs(b - a)
+    direction = (b - a) / length
+    done = 0.0
+    value = eval_H(N, j, a)
+    total = 0.0
+    while done < length:
+        point = a + done * direction
+        majorant = _majorant(N, point)
+        room = abs(value) - rounding_floor(N, point, majorant)
+        h = min(length - done, 0.5)
+        while True:
+            bound = min(majorant * math.exp(h), _taylor_bound(m, abs(point) + h))
+            if h * bound < room:
+                break
+            h /= 2.0
+            if h < 1e-9 * max(1.0, abs(point)):
+                raise ArithmeticError(
+                    f"H_({N},{j}) cannot be certified zero-free near {point} on the "
+                    f"segment {a} -> {b}"
+                )
+        done = length if h == length - done else done + h
+        end = b if done >= length else a + done * direction
+        following = eval_H(N, j, end)
+        total += cmath.phase(following / value)
+        value = following
+    return total
+
+
+def _box_count(N: int, j: int, box: tuple[float, float, float, float]) -> int:
+    """Zeros of H_{N,j} inside the box (x0, x1, y0, y1), with multiplicity."""
+    x0, x1, y0, y1 = box
+    corners = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
+    total = sum(_edge_phase(N, j, corners[i], corners[(i + 1) % 4]) for i in range(4))
+    return round(total / (2.0 * math.pi))
+
+
+_ROOT_MARGIN = 0.25  # the root box's half side exceeds the radius by this
+_ROOT_CENTRE = complex(0.0713, 0.0419)  # 0 strictly inside; split lines miss the axes, where zeros often lie
+_SPLIT_FRACTIONS = (0.5137, 0.4629)  # off-centre, the second used when the first meets a zero
+
+
+def _split(
+    N: int, j: int, box: tuple[float, float, float, float], count: int
+) -> list[tuple[tuple[float, float, float, float], int]]:
+    """Halve the box across its longer side; count one half, subtract for the other."""
+    x0, x1, y0, y1 = box
+    for fraction in _SPLIT_FRACTIONS:
+        if x1 - x0 >= y1 - y0:
+            cut = x0 + fraction * (x1 - x0)
+            low, high = (x0, cut, y0, y1), (cut, x1, y0, y1)
+        else:
+            cut = y0 + fraction * (y1 - y0)
+            low, high = (x0, x1, y0, cut), (x0, x1, cut, y1)
+        try:
+            low_count = _box_count(N, j, low)
+        except ArithmeticError:
+            continue
+        return [(low, low_count), (high, count - low_count)]
+    raise ArithmeticError(f"find_zeros_in_disk: no split of {box} avoids the zeros of H_({N},{j})")
+
+
+def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
+    """Every zero of H_{N,j} with |z| <= radius, each once, by certified box counts.
+
+    A box around the disk is split until each piece is resolved, after
+    Delves and Lyness (Math. Comp. 21, 1967) and Kravanja and Van Barel
+    (LNM 1727, 2000).  Counts come from _edge_phase, so they are exact.
+    A box with count 0, or one missing the disk, is dropped.  For j > 0
+    the origin is a zero of multiplicity exactly j (H_{N,j}(z) = z^j/j! +
+    ...), so a box around it with count j holds nothing else, and the
+    origin is returned once as exactly 0j.  A count-1 box is polished by
+    locate_zero from its centre down to the rounding floor (tol=0); the
+    result is kept only if it lies in the box (it is then that box's
+    zero), and otherwise the box is split again.
+    Zeros are sorted by modulus, then phase.  Raises ValueError if the
+    search box leaves the exp range of eval_H, and ArithmeticError if a
+    zero sits on a box edge that no split can avoid.
+    """
+    half = radius + _ROOT_MARGIN
+    if not radius >= 0 or abs(_ROOT_CENTRE) + math.sqrt(2.0) * half > _EXP_LIMIT:
+        raise ValueError("find_zeros_in_disk: need radius >= 0 with the search box in exp range")
+    root = (
+        _ROOT_CENTRE.real - half, _ROOT_CENTRE.real + half,
+        _ROOT_CENTRE.imag - half, _ROOT_CENTRE.imag + half,
+    )
     zeros: list[complex] = []
-    steps = int(radius / grid_step) + 1
-    for a in range(-steps, steps + 1):
-        for b in range(-steps, steps + 1):
-            start = complex(a * grid_step, b * grid_step)
-            if abs(start) > radius + grid_step:
-                continue
+    pending = [(root, _box_count(N, j, root))]
+    while pending:
+        box, count = pending.pop()
+        x0, x1, y0, y1 = box
+        if count == 0 or math.hypot(max(x0, -x1, 0.0), max(y0, -y1, 0.0)) > radius:
+            continue
+        if j > 0 and count == j and x0 < 0 < x1 and y0 < 0 < y1:
+            zeros.append(0j)
+            continue
+        if count == 1:
             try:
-                z = locate_zero(N, j, start, tol=1e-9, max_steps=60)
+                z = locate_zero(N, j, complex((x0 + x1) / 2, (y0 + y1) / 2), tol=0.0)
             except (ArithmeticError, ValueError):
-                continue
-            if abs(z) > radius:
-                continue
-            if all(abs(z - seen) > 1e-4 for seen in zeros):
+                z = None
+            if z is not None and x0 <= z.real <= x1 and y0 <= z.imag <= y1:
                 zeros.append(z)
-    return sorted(zeros, key=lambda z: (abs(z), cmath.phase(z)))
+                continue
+        pending.extend(_split(N, j, box, count))
+    return sorted((z for z in zeros if abs(z) <= radius), key=lambda z: (abs(z), cmath.phase(z)))
 
 
 def extraneous_zeros(
-    family: tuple[int, int], radius: float, match_tol: float = 1e-6,
-    origin_snap: float = 1e-2,
+    family: tuple[int, int], radius: float, match_tol: float = 1e-6
 ) -> list[complex]:
-    """Zeros found by grid search that sit off the closed-form lattice.
+    """Zeros found by the certified search that sit off the closed-form lattice.
 
-    The lattice is generated out past the radius.  For j > 0 the origin is
-    an exact zero of multiplicity j, where Newton converges only linearly
-    and stalls around (j! * tol)^(1/j) away; points inside ``origin_snap``
-    are therefore matched to the trivial zero rather than held to
-    ``match_tol`` (the nearest nontrivial zero is more than pi away, so
-    the wider ball masks nothing).
+    The lattice is generated out past the radius.  For j > 0 the search
+    returns the trivial zero at the origin as exactly 0j, which is not a
+    stray.
     """
     N, j = family
     lattice = []
@@ -473,7 +634,7 @@ def extraneous_zeros(
     found = find_zeros_in_disk(N, j, radius)
     stray = []
     for z in found:
-        if j > 0 and abs(z) <= origin_snap:
+        if j > 0 and z == 0:
             continue
         if all(abs(z - w) > match_tol for w in lattice):
             stray.append(z)

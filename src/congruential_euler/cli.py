@@ -29,6 +29,7 @@ from .analytic import (
     formula_value,
     locate_zero,
     ratio_radius,
+    rounding_floor,
 )
 from .engine import (
     CacheFormatError,
@@ -231,7 +232,7 @@ def _cmd_identities(args: argparse.Namespace) -> int:
             located = locate_zero(N, j, predicted)
             residual = abs(eval_H(N, j, located))
             distance = abs(located - predicted)
-            good = residual < 1e-10 and distance < 1e-9
+            good = residual < max(1e-10, rounding_floor(N, located)) and distance < 1e-9
             ok &= good
             record = {
                 "family": f"{N},{j}",

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from congruential_euler.analytic import (
+    ZERO_FAMILIES,
     BernoulliFormulaId,
     PiPolynomial,
     ZetaFormulaId,
@@ -18,13 +19,16 @@ from congruential_euler.analytic import (
     eval_H,
     extraneous_zeros,
     family_zeros,
+    find_zeros_in_disk,
     formula_value,
     lambda_even,
     locate_zero,
     predicted_zero,
     ratio_radius,
+    rounding_floor,
     zeta_even,
 )
+from congruential_euler.analytic import _box_count
 from congruential_euler.engine import SeqParams
 
 
@@ -175,6 +179,17 @@ class TestZeros:
         with pytest.raises(ArithmeticError):
             locate_zero(4, 0, 100 + 100j, max_steps=2)
 
+    @pytest.mark.parametrize("family,k", [((4, 0), 5), ((4, 2), 5), ((6, 3), 3)])
+    def test_zeros_past_modulus_18(self, family, k):
+        # The rounding of eval_H alone exceeds 1e-10 here, so only the
+        # floor-scaled acceptance can converge.
+        N, j = family
+        for l in range(N):
+            target = predicted_zero(family, k, l)
+            z = locate_zero(N, j, target + 0.1 + 0.05j)
+            assert abs(z - target) < 1e-13 * abs(target)
+            assert abs(eval_H(N, j, z)) < rounding_floor(N, z)
+
 
 class TestSpecialValues:
     def test_ratio_is_minus_i(self):
@@ -203,10 +218,68 @@ class TestSpecialValues:
             check_special_values(10**6, 0)
 
 
-class TestGridSearch:
+def _winding_on_circle(N, j, radius):
+    """Zeros inside |z| = radius by sampled phases, refined until every step is below pi/4."""
+    samples = 256
+    while True:
+        values = [eval_H(N, j, cmath.rect(radius, 2 * math.pi * k / samples)) for k in range(samples)]
+        steps = [cmath.phase(values[(k + 1) % samples] / values[k]) for k in range(samples)]
+        if max(abs(step) for step in steps) < math.pi / 4:
+            return round(math.fsum(steps) / (2 * math.pi))
+        samples *= 2
+
+
+class TestZeroSearch:
     def test_42_family_small_disk(self):
         stray = extraneous_zeros((4, 2), 1.5 * math.pi)
         assert stray == []
+
+    @pytest.mark.parametrize("family", ZERO_FAMILIES)
+    def test_lattice_and_the_origin_once(self, family):
+        N, j = family
+        radius = 5 * math.pi
+        lattice = [z for _, _, z in family_zeros(family, 8 * N) if abs(z) <= radius]
+        found = find_zeros_in_disk(N, j, radius)
+        assert found.count(0j) == (1 if j > 0 else 0)
+        rest = [z for z in found if z != 0]
+        assert len(rest) == len(lattice)
+        assert all(min(abs(z - w) for z in rest) < 1e-13 for w in lattice)
+
+    def test_cosh_and_sinh_on_the_imaginary_axis(self):
+        radius = 5.25 * math.pi
+        cosh = find_zeros_in_disk(2, 0, radius)
+        sinh = find_zeros_in_disk(2, 1, radius)
+        for found, expected in (
+            (cosh, [s * 1j * (k + 0.5) * math.pi for k in range(5) for s in (1, -1)]),
+            (sinh, [s * 1j * k * math.pi for k in range(1, 6) for s in (1, -1)]),
+        ):
+            rest = [z for z in found if z != 0]
+            assert len(rest) == len(expected)
+            assert all(min(abs(z - w) for z in rest) < 1e-13 for w in expected)
+        assert 0j not in cosh and sinh.count(0j) == 1
+
+    @pytest.mark.parametrize("family", [(3, 0), (5, 2), (9, 8)])
+    def test_general_families_match_an_independent_count(self, family):
+        N, j = family
+        radius = 5.3 * math.pi
+        found = find_zeros_in_disk(N, j, radius)
+        assert len(found) - (1 if j > 0 else 0) + j == _winding_on_circle(N, j, radius)
+        assert all(abs(eval_H(N, j, z)) < rounding_floor(N, z) for z in found)
+
+    def test_box_edge_through_a_zero_raises(self):
+        # The top edge runs through the cosh zero at i pi/2.
+        with pytest.raises(ArithmeticError):
+            _box_count(2, 0, (-1.0, 1.0, -0.5, math.pi / 2))
+
+    def test_box_counts(self):
+        assert _box_count(2, 0, (-1.0, 1.0, 1.0, 2.0)) == 1
+        assert _box_count(6, 3, (-1.0, 1.0, -1.0, 1.0)) == 3
+
+    def test_radius_beyond_exp_range(self):
+        with pytest.raises(ValueError, match="exp range"):
+            find_zeros_in_disk(4, 0, 600.0)
+        with pytest.raises(ValueError):
+            find_zeros_in_disk(4, 0, -1.0)
 
 
 class TestRatioRadius:

@@ -235,6 +235,16 @@ class TestIdentities:
         assert len(rows) == 3
         assert all(row["residual"] < 1e-10 for row in rows)
 
+    def test_zeros_past_modulus_18(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "--format", "json", "--cache-dir", str(tmp_path), "identities",
+            "zeros", "--family", "6,3", "--count", "13",
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert len(rows) == 13 and all(row["ok"] for row in rows)
+        assert rows[-1]["k"] == 3
+
     def test_radius(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "--format", "json", "--cache-dir", str(tmp_path), "identities",
