@@ -16,10 +16,11 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from typing import Callable
 
 from .engine import SeqParams, compute_table, euler_number
+from .exact import binomial_row
 
 __all__ = [
     "PiPolynomial",
@@ -113,8 +114,9 @@ def lambda_even(k: int) -> PiPolynomial:
 
 def _weighted_sum(params: SeqParams, top: int, upper: int) -> Fraction:
     total = Fraction(0)
-    for m in range(upper + 1):
-        total += comb(top, params.N * m) * euler_number(params, m)
+    weights = binomial_row(top, range(0, params.N * upper + 1, params.N))
+    for m, weight in enumerate(weights):
+        total += weight * euler_number(params, m)
     return total
 
 

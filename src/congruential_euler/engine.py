@@ -8,6 +8,10 @@ Tables are filled by the lower-triangular recurrence
     sum_{m=0}^{n} C(Nn+j, Nm) E_{Nm} = (j! if n = 0 else 0)
 
 and can be cross-checked against an independent series-inversion oracle.
+The binomials of row n, C(Nn+j, Nm) for m = 0..n, are stepped along the
+row by :func:`exact.binomial_row`; the last of them, C(Nn+j, Nn) =
+C(Nn+j, j), is the divisor.  The oracle stays an independent route: its
+series inverse weighs terms by C(n, m), not by C(Nn+j, Nm).
 :func:`residue_table` runs the same recurrence in Z/p^R and returns the
 values mod p^r without building the exact rationals.
 """
@@ -19,11 +23,11 @@ import re
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 from pathlib import Path
 from typing import Optional, Union
 
-from .exact import exp_section, is_prime, series_invert, series_shift_down
+from .exact import binomial_row, exp_section, is_prime, series_invert, series_shift_down
 
 __all__ = [
     "SeqParams",
@@ -86,11 +90,11 @@ def _extend(params: SeqParams, n_max: int) -> list[Fraction]:
         if values is None:
             values = _TABLES[params] = [Fraction(factorial(j))]
         for n in range(len(values), n_max + 1):
-            top = N * n + j
+            *weights, divisor = binomial_row(N * n + j, range(0, N * n + 1, N))
             acc = Fraction(0)
-            for m in range(n):
-                acc += comb(top, N * m) * values[m]
-            values.append(-acc / comb(top, j))
+            for weight, value in zip(weights, values):
+                acc += weight * value
+            values.append(-acc / divisor)
     return values
 
 

@@ -4,14 +4,22 @@ Everything here is pure and exact.  Rationals are ``fractions.Fraction``
 (always reduced, positive denominator), integers are Python ints.  An
 :class:`EgfSeries` stores the coefficients a_n of sum a_n z^n/n! up to a
 truncation order, so products convolve with binomial weights.
+
+Loops that need many binomials from one row C(n, .) take them from
+:func:`binomial_row`, which steps from each value to the next with one
+big-by-small multiplication and division instead of building every
+C(n, k) from scratch.  The series product and inverse walk only the
+nonzero coefficients of their left operand and skip a term whose partner
+coefficient is zero, so an N-sparse kernel costs about 1/N of a dense one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, perm
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -19,6 +27,7 @@ __all__ = [
     "Rational",
     "is_prime",
     "binomial",
+    "binomial_row",
     "vp",
     "residue_mod_prime_power",
     "EgfSeries",
@@ -53,6 +62,29 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return comb(n, k)
+
+
+def binomial_row(n: int, ks: Iterable[int]) -> Iterator[int]:
+    """Yield C(n, k) for each k of a nondecreasing sequence in [0, n].
+
+    Each value comes from the one before by the exact step
+
+        C(n, k') = C(n, k) * perm(n - k, k' - k) // perm(k', k' - k),
+
+    starting from C(n, 0) = 1: both sides equal n! / (k'! (n - k')!), so
+    the division leaves no remainder.  A step multiplies and divides a
+    big number by small ones where ``math.comb(n, k')`` would rebuild it.
+    """
+    if n < 0:
+        raise ValueError("binomial_row: n must be nonnegative")
+    value, k = 1, 0
+    for k_next in ks:
+        if not k <= k_next <= n:
+            raise ValueError(f"binomial_row: need nondecreasing indices in [0, {n}]")
+        gap = k_next - k
+        value = value * perm(n - k, gap) // perm(k_next, gap)
+        k = k_next
+        yield value
 
 
 def _int_valuation(n: int, p: int) -> int:
@@ -191,15 +223,14 @@ def series_multiply(a: EgfSeries, b: EgfSeries) -> EgfSeries:
     """EGF product: c_n = sum_m C(n, m) a_m b_{n-m}, truncated to min order."""
     order = min(a.order, b.order)
     ca, cb = a.coeffs, b.coeffs
+    support = [m for m in range(order + 1) if ca[m]]
+    partner = [bool(c) for c in cb[: order + 1]]
     out = []
     for n in range(order + 1):
+        ms = [m for m in support[: bisect_right(support, n)] if partner[n - m]]
         acc = Fraction(0)
-        for m in range(n + 1):
-            am = ca[m]
-            if am:
-                bm = cb[n - m]
-                if bm:
-                    acc += comb(n, m) * am * bm
+        for m, weight in zip(ms, binomial_row(n, ms)):
+            acc += weight * ca[m] * cb[n - m]
         out.append(acc)
     return EgfSeries(tuple(out))
 
@@ -211,15 +242,15 @@ def series_invert(a: EgfSeries) -> EgfSeries:
     inv0 = 1 / a.coeffs[0]
     out = [inv0]
     ca = a.coeffs
+    support = [m for m in range(1, a.order + 1) if ca[m]]
+    partner = [True]  # partner[i]: out[i] != 0
     for n in range(1, a.order + 1):
+        ms = [m for m in support[: bisect_right(support, n)] if partner[n - m]]
         acc = Fraction(0)
-        for m in range(1, n + 1):
-            am = ca[m]
-            if am:
-                bm = out[n - m]
-                if bm:
-                    acc += comb(n, m) * am * bm
+        for m, weight in zip(ms, binomial_row(n, ms)):
+            acc += weight * ca[m] * out[n - m]
         out.append(-inv0 * acc)
+        partner.append(bool(out[n]))
     return EgfSeries(tuple(out))
 
 

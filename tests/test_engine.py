@@ -68,6 +68,7 @@ ORACLE_PARAMS = [
     (2, 0), (3, 0), (4, 0), (4, 2),
     (5, 0), (5, 1), (5, 2), (5, 3), (5, 4),
     (6, 0), (6, 3), (1, 1), (10, 5),
+    (3, 5), (20, 13), (42, 9),
 ]
 
 

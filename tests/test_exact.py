@@ -1,15 +1,16 @@
 """Tests for the exact arithmetic substrate."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congruential_euler.exact import (
     EgfSeries,
     binomial,
+    binomial_row,
     exp_section,
     is_prime,
     residue_mod_prime_power,
@@ -56,6 +57,42 @@ class TestBinomial:
     @given(st.integers(0, 80), st.integers(-5, 85))
     def test_matches_factorial_oracle(self, n, k):
         assert binomial(n, k) == factorial_binomial(n, k)
+
+
+@st.composite
+def row_indices(draw):
+    """A row n <= 400 and increasing ks: scattered (wide gaps), a consecutive
+    run, and k = 0 and k = n each in about half the draws."""
+    n = draw(st.integers(0, 400))
+    ks = set(draw(st.lists(st.integers(0, n), max_size=20)))
+    start = draw(st.integers(0, n))
+    ks.update(range(start, min(n, start + draw(st.integers(0, 6))) + 1))
+    if draw(st.booleans()):
+        ks.add(0)
+    if draw(st.booleans()):
+        ks.add(n)
+    return n, sorted(ks)
+
+
+class TestBinomialRow:
+    @given(row_indices())
+    def test_matches_comb(self, row):
+        n, ks = row
+        assert list(binomial_row(n, ks)) == [comb(n, k) for k in ks]
+
+    def test_whole_rows(self):
+        for n in (0, 1, 2, 7, 64, 255):
+            assert list(binomial_row(n, range(n + 1))) == [comb(n, k) for k in range(n + 1)]
+
+    def test_single_jump_and_repeats(self):
+        assert list(binomial_row(1461, [726])) == [comb(1461, 726)]
+        assert list(binomial_row(9, [0, 0, 4, 4, 9])) == [1, 1, 126, 126, 1]
+        assert list(binomial_row(5, [])) == []
+
+    @pytest.mark.parametrize("n,ks", [(5, [3, 2]), (5, [6]), (5, [-1]), (-1, [0])])
+    def test_rejects_bad_indices(self, n, ks):
+        with pytest.raises(ValueError, match="binomial_row"):
+            list(binomial_row(n, ks))
 
 
 class TestValuation:
@@ -206,6 +243,69 @@ class TestSeriesInvert:
         product = series_multiply(a, series_invert(a))
         assert product[0] == 1
         assert all(product[n] == 0 for n in range(1, product.order + 1))
+
+
+def dense_multiply(a: list, b: list) -> list:
+    """Reference EGF product: every index, one math.comb per term."""
+    order = min(len(a), len(b)) - 1
+    return [
+        sum((comb(n, m) * a[m] * b[n - m] for m in range(n + 1)), Fraction(0))
+        for n in range(order + 1)
+    ]
+
+
+def dense_invert(a: list) -> list:
+    """Reference EGF inverse: every index, one math.comb per term."""
+    out = [1 / Fraction(a[0])]
+    for n in range(1, len(a)):
+        acc = sum((comb(n, m) * a[m] * out[n - m] for m in range(1, n + 1)), Fraction(0))
+        out.append(-out[0] * acc)
+    return out
+
+
+@st.composite
+def sparse_coeffs(draw, constant_term: bool = False):
+    """Up to 40 coefficients, at least half of them zero; with ``constant_term``
+    the first one is nonzero."""
+    low = 1 if constant_term else 0
+    size = draw(st.integers(1 + low, 40))
+    places = draw(st.sets(st.integers(low, size - 1), max_size=size // 2 - low))
+    if constant_term:
+        places.add(0)
+    values = [Fraction(0)] * size
+    nonzero = st.fractions(min_value=-50, max_value=50, max_denominator=12).filter(bool)
+    for i in places:
+        values[i] = draw(nonzero)
+    return values
+
+
+sections = st.tuples(st.integers(1, 20), st.integers(0, 25))
+
+
+class TestSparseSeries:
+    @settings(deadline=None)
+    @given(sparse_coeffs(), sparse_coeffs())
+    def test_multiply_matches_dense(self, a, b):
+        product = series_multiply(EgfSeries.from_coeffs(a), EgfSeries.from_coeffs(b))
+        assert list(product.coeffs) == dense_multiply(a, b)
+
+    @settings(deadline=None)
+    @given(sparse_coeffs(constant_term=True))
+    def test_invert_matches_dense(self, a):
+        assert list(series_invert(EgfSeries.from_coeffs(a)).coeffs) == dense_invert(a)
+
+    @settings(deadline=None)
+    @given(sections, sections, st.integers(0, 60))
+    def test_multiply_sections_matches_dense(self, left, right, order):
+        a, b = exp_section(*left, order), exp_section(*right, order)
+        assert list(series_multiply(a, b).coeffs) == dense_multiply(list(a.coeffs), list(b.coeffs))
+
+    @settings(deadline=None)
+    @given(sections, st.integers(0, 60))
+    def test_invert_kernel_matches_dense(self, section, extra):
+        step, offset = section
+        kernel = series_shift_down(exp_section(step, offset, offset + extra), offset)
+        assert list(series_invert(kernel).coeffs) == dense_invert(list(kernel.coeffs))
 
 
 class TestSeriesDerivative:
