@@ -24,7 +24,6 @@ from .analytic import (
 )
 from .congruences import (
     CongruenceReport,
-    DeltaExponent,
     check_gessel,
     check_komatsu_liu,
     check_main_theorem,
@@ -47,7 +46,6 @@ from .engine import (
 )
 from .exact import (
     EgfSeries,
-    binomial,
     exp_section,
     is_prime,
     residue_mod_prime_power,

@@ -1,10 +1,13 @@
 """Mechanical verification of the proved congruence families.
 
-Each check sweeps a finite parameter window, compares exact values, and
-returns a :class:`CongruenceReport` holding at most the first few failing
-witnesses.  Subscripts in the statements below are absolute EGF indices;
-they are converted to table indices by dividing by the sequence step, and
-the divisibility of that conversion is what rules out off-by-step bugs.
+Each check sweeps a finite parameter window and returns a
+:class:`CongruenceReport` holding at most the first few failing witnesses.
+The six windowed checks read E_{Nn}^{(N,j)} mod p^e from
+:func:`engine.residue_table` and never build the exact rationals; the two
+series lemmas compare exact series coefficients.  Subscripts in the
+statements below are absolute EGF indices; they are converted to table
+indices by dividing by the sequence step, and the divisibility of that
+conversion is what rules out off-by-step bugs.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .engine import SeqParams, compute_table, euler_number
+from .engine import SeqParams, residue_table
 from .exact import (
     EgfSeries,
     exp_section,
@@ -27,7 +30,6 @@ from .exact import (
 
 __all__ = [
     "THEOREM_IDS",
-    "DeltaExponent",
     "CongruenceReport",
     "check_main_theorem",
     "check_komatsu_liu",
@@ -51,17 +53,6 @@ THEOREM_IDS = (
 )
 
 MAX_WITNESSES = 5
-
-
-@dataclass(frozen=True)
-class DeltaExponent:
-    """Extra congruence strength delta(j): 1 exactly when j = 0."""
-
-    j: int
-
-    @property
-    def delta(self) -> int:
-        return 1 if self.j == 0 else 0
 
 
 @dataclass
@@ -116,20 +107,59 @@ def _finish(
     return CongruenceReport(theorem_id, summary, checked, failures[:MAX_WITNESSES], status)
 
 
-def _integer(params: SeqParams, n: int) -> int:
-    """E_{Nn}^{(N,j)} for a family whose values are integers; anything else is a fault."""
-    value = euler_number(params, n)
-    if value.denominator != 1:
-        raise ArithmeticError(f"E^({params.N},{params.j}) at table index n={n} is not an integer")
-    return value.numerator
+def _residues(params: SeqParams, p: int, e: int, indices: list[int]) -> list[int]:
+    """E_{Nn}^{(N,j)} mod p^e for n = 0..max(indices), from :func:`residue_table`.
+
+    Each caller's family has v_p(C(Nn+j, j)) = 0 for every n, so the engine
+    runs at R = e; an entry with p in its denominator is a fault.
+    """
+    if not indices:
+        return []
+    if min(indices) < 0:
+        raise ValueError(f"table index n={min(indices)} is negative")
+    top = max(indices)
+    residues = residue_table(params, p, e, top)
+    if len(residues) <= top:
+        raise ArithmeticError(
+            f"E^({params.N},{params.j}) at table index n={len(residues)} "
+            f"has p={p} in its denominator"
+        )
+    return residues
+
+
+def _antiperiodic(
+    params: SeqParams, p: int, e: int, shift: int, ns: list[int], summary: str
+) -> list[dict]:
+    """Witnesses n in ns with v_p(E_n + E_{n+shift}) < e, the sum read mod p^e.
+
+    A sum that is 0 mod p^e is exactly 0 or has v_p >= e, so it passes; any
+    other sum s has v_p(s mod p^e) = v_p(s) < e, so a witness is exact.
+    """
+    residues = _residues(params, p, e, [*ns, *(n + shift for n in ns)])
+    modulus = p**e
+    sums = ((n, (residues[n] + residues[n + shift]) % modulus) for n in ns)
+    return [
+        {"params": f"{summary} n={n}", "lhs": vp(total, p), "rhs": e} for n, total in sums if total
+    ]
+
+
+def _unequal(
+    lhs: SeqParams, rhs: SeqParams, p: int, e: int, pairs: list[tuple[int, int]]
+) -> list[tuple[int, int, int, int]]:
+    """(a, b, lhs E_a mod p^e, rhs E_b mod p^e) for each pair (a, b) whose residues differ."""
+    indices = [n for pair in pairs for n in pair]
+    left = _residues(lhs, p, e, indices)
+    right = left if rhs == lhs else _residues(rhs, p, e, indices)
+    return [(a, b, left[a], right[b]) for a, b in pairs if left[a] != right[b]]
 
 
 def check_main_theorem(p: int, j: int, r: int, n_range: Iterable[int]) -> CongruenceReport:
-    """Check vp(E_{pn}^{(p,j)} + E_{pn+p^r}^{(p,j)}) >= r + delta(j).
+    """Check vp(E_{pn}^{(p,j)} + E_{pn+p^r}^{(p,j)}) >= r + delta(j), delta(j) = [j = 0].
 
     The congruential Euler numbers of a prime step p satisfy this sign
     anti-periodicity for every 0 <= j <= p-1; an exact zero sum counts as
-    infinite valuation.
+    infinite valuation.  Adding j < p to pn carries nothing, so
+    v_p(C(pn+j, j)) = 0 (Kummer) and the residues are read at R = r + delta(j).
     """
     if not is_prime(p) or p == 2:
         raise ValueError("check_main_theorem: p must be an odd prime")
@@ -137,22 +167,12 @@ def check_main_theorem(p: int, j: int, r: int, n_range: Iterable[int]) -> Congru
         raise ValueError("check_main_theorem: need 0 <= j <= p-1")
     if r < 1:
         raise ValueError("check_main_theorem: r must be positive")
-    params = SeqParams(p, j)
-    required = r + DeltaExponent(j).delta
+    required = r + (1 if j == 0 else 0)
     shift = p ** (r - 1)  # subscript shift p^r is table shift p^(r-1)
-    failures: list[dict] = []
-    checked = 0
-    for n in n_range:
-        checked += 1
-        total = euler_number(params, n) + euler_number(params, n + shift)
-        if total == 0:
-            continue
-        seen = vp(total, p)
-        if seen < required:
-            failures.append(
-                {"params": f"p={p} j={j} r={r} n={n}", "lhs": seen, "rhs": required}
-            )
-    return _finish("main_theorem", f"p={p} j={j} r={r}", checked, failures)
+    ns = list(n_range)
+    summary = f"p={p} j={j} r={r}"
+    failures = _antiperiodic(SeqParams(p, j), p, required, shift, ns, summary)
+    return _finish("main_theorem", summary, len(ns), failures)
 
 
 def check_komatsu_liu(k: int, n_pairs: Iterable[tuple[int, int]]) -> CongruenceReport:
@@ -160,52 +180,47 @@ def check_komatsu_liu(k: int, n_pairs: Iterable[tuple[int, int]]) -> CongruenceR
 
     {W_n} are the Lehmer numbers, i.e. the (3, 0) sequence.  A pair that
     violates the hypothesis is a usage error, not a congruence failure.
+    With j = 0 every divisor C(3n, 0) is 1: the residues are read at R = k + 1.
     """
     if k < 1:
         raise ValueError("check_komatsu_liu: k must be positive")
-    params = SeqParams(3, 0)
-    modulus = 3 ** (k + 1)
     hypothesis = 2 * 3**k
-    failures: list[dict] = []
-    checked = 0
-    for n, m in n_pairs:
+    pairs = list(n_pairs)
+    for n, m in pairs:
         if (3 * n - 3 * m) % hypothesis != 0:
             raise ValueError(
                 f"check_komatsu_liu: hypothesis not satisfied: 3*{n} != 3*{m} mod {hypothesis}"
             )
-        checked += 1
-        lhs = _integer(params, n) % modulus
-        rhs = _integer(params, m) % modulus
-        if lhs != rhs:
-            failures.append({"params": f"k={k} n={n} m={m}", "lhs": lhs, "rhs": rhs})
-    if checked == 0:
+    if not pairs:
         raise ValueError("check_komatsu_liu: no pairs supplied")
-    return _finish("komatsu_liu", f"k={k}", checked, failures)
+    params = SeqParams(3, 0)
+    failures = [
+        {"params": f"k={k} n={n} m={m}", "lhs": lhs, "rhs": rhs}
+        for n, m, lhs, rhs in _unequal(params, params, 3, k + 1, pairs)
+    ]
+    return _finish("komatsu_liu", f"k={k}", len(pairs), failures)
 
 
 def check_gessel(p: int, m: int, k: int, n_range: Iterable[int]) -> CongruenceReport:
     """Check E_{p^k m n}^{(p^k m,0)} == E_{p^{k-1} m n}^{(p^{k-1} m,0)} mod p^{3k-eps}.
 
-    eps is 1 for p in {2, 3} and 0 for larger primes; both sides are
-    integers since j = 0.
+    eps is 1 for p in {2, 3} and 0 for larger primes.  With j = 0 both sides
+    are integers: the residues are read at R = 3k - eps.
     """
     if not is_prime(p):
         raise ValueError("check_gessel: p must be prime")
     if m < 1 or k < 1:
         raise ValueError("check_gessel: m and k must be positive")
     eps = 1 if p in (2, 3) else 0
-    modulus = p ** (3 * k - eps)
     coarse = SeqParams(p**k * m, 0)
     fine = SeqParams(p ** (k - 1) * m, 0)
-    failures: list[dict] = []
-    checked = 0
-    for n in n_range:
-        checked += 1
-        lhs = _integer(coarse, n) % modulus
-        rhs = _integer(fine, n) % modulus
-        if lhs != rhs:
-            failures.append({"params": f"p={p} m={m} k={k} n={n}", "lhs": lhs, "rhs": rhs})
-    return _finish("gessel", f"p={p} m={m} k={k}", checked, failures)
+    ns = list(n_range)
+    summary = f"p={p} m={m} k={k}"
+    failures = [
+        {"params": f"{summary} n={n}", "lhs": lhs, "rhs": rhs}
+        for n, _, lhs, rhs in _unequal(coarse, fine, p, 3 * k - eps, [(n, n) for n in ns])
+    ]
+    return _finish("gessel", summary, len(ns), failures)
 
 
 def check_prime_power(p: int, k: int, r: int, n_range: Iterable[int]) -> CongruenceReport:
@@ -213,6 +228,7 @@ def check_prime_power(p: int, k: int, r: int, n_range: Iterable[int]) -> Congrue
 
     Valid for odd primes with 1 <= r <= 5 - eps (eps = 1 for p = 3); the
     range bound is where the underlying step-collapse congruence runs out.
+    With j = 0 every divisor is 1: the residues are read at R = r + 1.
     """
     if not is_prime(p) or p == 2:
         raise ValueError("check_prime_power: p must be an odd prime")
@@ -221,39 +237,28 @@ def check_prime_power(p: int, k: int, r: int, n_range: Iterable[int]) -> Congrue
     eps = 1 if p == 3 else 0
     if not 1 <= r <= 5 - eps:
         raise ValueError(f"check_prime_power: need 1 <= r <= {5 - eps} for p={p}")
-    params = SeqParams(p**k, 0)
     shift = p ** (r - 1)
-    failures: list[dict] = []
-    checked = 0
-    for n in n_range:
-        checked += 1
-        total = euler_number(params, n + shift) + euler_number(params, n)
-        if total == 0:
-            continue
-        seen = vp(total, p)
-        if seen < r + 1:
-            failures.append(
-                {"params": f"p={p} k={k} r={r} n={n}", "lhs": seen, "rhs": r + 1}
-            )
-    return _finish("prime_power", f"p={p} k={k} r={r}", checked, failures)
+    ns = list(n_range)
+    summary = f"p={p} k={k} r={r}"
+    failures = _antiperiodic(SeqParams(p**k, 0), p, r + 1, shift, ns, summary)
+    return _finish("prime_power", summary, len(ns), failures)
 
 
 def check_special_40(r: int, n_range: Iterable[int]) -> CongruenceReport:
-    """Check E_{4n+2^{r+1}}^{(4,0)} == E_{4n}^{(4,0)} mod 2^r, valid from n = 0."""
+    """Check E_{4n+2^{r+1}}^{(4,0)} == E_{4n}^{(4,0)} mod 2^r, valid from n = 0.
+
+    With j = 0 every divisor is 1: the residues are read at R = r.
+    """
     if r < 1:
         raise ValueError("check_special_40: r must be positive")
     params = SeqParams(4, 0)
-    modulus = 2**r
     shift = 2 ** (r - 1)  # subscript shift 2^{r+1} over step 4
-    failures: list[dict] = []
-    checked = 0
-    for n in n_range:
-        checked += 1
-        lhs = _integer(params, n + shift) % modulus
-        rhs = _integer(params, n) % modulus
-        if lhs != rhs:
-            failures.append({"params": f"r={r} n={n}", "lhs": lhs, "rhs": rhs})
-    return _finish("special_40", f"r={r}", checked, failures)
+    ns = list(n_range)
+    failures = [
+        {"params": f"r={r} n={n}", "lhs": lhs, "rhs": rhs}
+        for _, n, lhs, rhs in _unequal(params, params, 2, r, [(n + shift, n) for n in ns])
+    ]
+    return _finish("special_40", f"r={r}", len(ns), failures)
 
 
 def check_special_60(r: int, n_max: int) -> tuple[Optional[int], CongruenceReport]:
@@ -261,21 +266,18 @@ def check_special_60(r: int, n_max: int) -> tuple[Optional[int], CongruenceRepor
 
     The congruence only holds eventually; the scan reports the observed
     stabilization index.  If even the last window index fails the result
-    is inconclusive rather than a failure.
+    is inconclusive rather than a failure.  With j = 0 every divisor is 1:
+    the residues are read at R = r.
     """
     if r < 1:
         raise ValueError("check_special_60: r must be positive")
     if n_max < 0:
         raise ValueError("check_special_60: n_max must be nonnegative")
     params = SeqParams(6, 0)
-    modulus = 3**r
     shift = 3 ** (r - 1)  # subscript shift 2*3^r over step 6
-    values = compute_table(params, n_max + shift).values
-    n0 = 0
-    for n in range(n_max, -1, -1):
-        if (values[n + shift] - values[n]) % modulus != 0:
-            n0 = n + 1
-            break
+    backward = [(n + shift, n) for n in range(n_max, -1, -1)]
+    mismatches = _unequal(params, params, 3, r, backward)
+    n0 = mismatches[0][1] + 1 if mismatches else 0
     checked = n_max + 1
     if n0 > n_max:
         report = _finish(

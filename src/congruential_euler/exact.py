@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, perm
+from math import perm
 from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -26,7 +26,6 @@ Rational = Union[int, Fraction]
 __all__ = [
     "Rational",
     "is_prime",
-    "binomial",
     "binomial_row",
     "vp",
     "residue_mod_prime_power",
@@ -53,15 +52,6 @@ def is_prime(p: int) -> bool:
             return False
         d += 2
     return True
-
-
-def binomial(n: int, k: int) -> int:
-    """C(n, k) with the convention that k < 0 or k > n gives 0."""
-    if n < 0:
-        raise ValueError("binomial: n must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
 
 
 def binomial_row(n: int, ks: Iterable[int]) -> Iterator[int]:

@@ -125,9 +125,10 @@ def scan_conjecture(
 
     Residues come from :func:`engine.residue_table`, which never builds the
     exact rationals; a p in any denominator is itself reportable evidence
-    and yields an ``integrality_failed`` result naming the first such entry.  The detected period is converted to
-    absolute subscript units and compared against the conjectured bound
-    q*p^r.  Findings are empirical, never proofs.
+    and yields an ``integrality_failed`` result naming the first such
+    entry.  The detected period is converted to absolute subscript units
+    and compared against the conjectured bound q*p^r.  Findings are
+    empirical, never proofs.
     """
     if not is_prime(p):
         raise ValueError("scan_conjecture: p must be prime")

@@ -145,6 +145,15 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_negative_index_exit_2(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "--cache-dir", str(tmp_path), "verify", "main", "--p", "3", "--j", "0",
+            "--r", "1", "--n=-2..3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "negative" in err
+
     def test_inconclusive_check_exit_1(self, capsys, tmp_path):
         # a window too short to witness stabilization is not a pass
         code, out, _ = run(

@@ -4,11 +4,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from congruential_euler import congruences
 from congruential_euler.congruences import (
     CongruenceReport,
-    DeltaExponent,
     check_gessel,
     check_komatsu_liu,
     check_main_theorem,
@@ -22,9 +23,36 @@ from congruential_euler.engine import SeqParams, euler_number
 from congruential_euler.exact import exp_section, series_derivative, series_multiply, vp
 
 
-def test_delta_exponent():
-    assert DeltaExponent(0).delta == 1
-    assert all(DeltaExponent(j).delta == 0 for j in range(1, 5))
+def exact_residue(params, n, p, e):
+    """E_{Nn}^{(N,j)} mod p^e from the exact table (the value must be p-integral)."""
+    value = euler_number(params, n)
+    modulus = p**e
+    return value.numerator * pow(value.denominator, -1, modulus) % modulus
+
+
+def exact_antiperiodic(params, p, e, shift, ns, summary):
+    """Witnesses of v_p(E_n + E_{n+shift}) < e, from exact sums."""
+    failures = []
+    for n in ns:
+        total = euler_number(params, n) + euler_number(params, n + shift)
+        if total != 0 and vp(total, p) < e:
+            failures.append({"params": f"{summary} n={n}", "lhs": vp(total, p), "rhs": e})
+    return failures
+
+
+def exact_unequal(lhs, rhs, p, e, pairs):
+    """(a, b, lhs residue, rhs residue) for each pair whose exact residues mod p^e differ."""
+    residues = [(a, b, exact_residue(lhs, a, p, e), exact_residue(rhs, b, p, e)) for a, b in pairs]
+    return [(a, b, x, y) for a, b, x, y in residues if x != y]
+
+
+def exact_special_60_n0(r, n_max):
+    params = SeqParams(6, 0)
+    shift = 3 ** (r - 1)
+    for n in range(n_max, -1, -1):
+        if (euler_number(params, n + shift) - euler_number(params, n)) % 3**r != 0:
+            return n + 1
+    return 0
 
 
 class TestMainTheorem:
@@ -209,16 +237,154 @@ def test_reports_are_deterministic():
     assert a == b
 
 
+WINDOWED_IDS = ["main_theorem", "komatsu_liu", "gessel", "prime_power", "special_40", "special_60"]
+
+
 @pytest.mark.parametrize(
-    "check, index",
+    "check, index, p",
     [
-        (lambda: check_komatsu_liu(1, [(0, 6)]), 0),
-        (lambda: check_gessel(2, 1, 1, [0]), 0),
-        (lambda: check_special_40(1, [0]), 1),  # the shifted side is read first
+        (lambda: check_main_theorem(3, 0, 1, [0]), 1, 3),  # the shifted side is the top
+        (lambda: check_komatsu_liu(1, [(0, 6)]), 6, 3),
+        (lambda: check_gessel(2, 1, 1, [0]), 0, 2),
+        (lambda: check_prime_power(3, 1, 1, [0]), 1, 3),
+        (lambda: check_special_40(1, [0]), 1, 2),
+        (lambda: check_special_60(1, 0), 1, 3),
     ],
-    ids=["komatsu_liu", "gessel", "special_40"],
+    ids=WINDOWED_IDS,
 )
-def test_non_integer_value_is_an_arithmetic_fault(check, index, monkeypatch):
-    monkeypatch.setattr(congruences, "euler_number", lambda params, n: Fraction(1, 2))
-    with pytest.raises(ArithmeticError, match=f"table index n={index} is not an integer"):
+def test_non_integer_value_is_an_arithmetic_fault(check, index, p, monkeypatch):
+    # residue_table stops one short: its entry at the top index has p in its denominator
+    monkeypatch.setattr(congruences, "residue_table", lambda params, p, e, top: [0] * top)
+    message = f"table index n={index} has p={p} in its denominator"
+    with pytest.raises(ArithmeticError, match=message):
         check()
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: check_main_theorem(3, 0, 1, [-1]),  # its shifted partner n = 0 is valid
+        lambda: check_komatsu_liu(1, [(-6, 0)]),
+        lambda: check_gessel(3, 1, 1, [2, -1]),
+        lambda: check_prime_power(3, 1, 2, [-3]),
+        lambda: check_special_40(2, [0, -2]),
+        lambda: check_special_60(1, -1),
+    ],
+    ids=WINDOWED_IDS,
+)
+def test_negative_index_is_rejected(check):
+    with pytest.raises(ValueError, match="negative"):
+        check()
+
+
+@pytest.mark.parametrize(
+    "check, message",
+    [
+        (lambda: check_main_theorem(3, 0, 1, []), "at least one instance"),
+        (lambda: check_komatsu_liu(1, []), "no pairs supplied"),
+        (lambda: check_gessel(3, 1, 1, range(4, 4)), "at least one instance"),
+        (lambda: check_prime_power(3, 1, 1, []), "at least one instance"),
+        (lambda: check_special_40(1, iter([])), "at least one instance"),
+    ],
+    ids=WINDOWED_IDS[:5],
+)
+def test_empty_window_is_rejected(check, message):
+    with pytest.raises(ValueError, match=message):
+        check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from((3, 5, 7)),
+    j=st.integers(0, 6),
+    r=st.integers(1, 2),
+    extra=st.integers(1, 3),
+    lo=st.integers(0, 24),
+    size=st.integers(1, 25),
+)
+def test_antiperiodic_witnesses_match_exact_sums(p, j, r, extra, lo, size):
+    # exponents above the proved r + delta(j), so that witnesses occur
+    j %= p
+    ns = list(range(lo, min(lo + size, 25)))
+    e = r + (j == 0) + extra
+    args = (SeqParams(p, j), p, e, p ** (r - 1), ns, "s")
+    assert congruences._antiperiodic(*args) == exact_antiperiodic(*args)
+
+
+EQUAL_FAMILIES = [  # (lhs, rhs, p, proved exponent, table shift)
+    (SeqParams(3, 0), SeqParams(3, 0), 3, 2, 2),  # Komatsu-Liu, k = 1
+    (SeqParams(3, 0), SeqParams(3, 0), 3, 3, 6),  # Komatsu-Liu, k = 2
+    (SeqParams(2, 0), SeqParams(1, 0), 2, 2, 0),  # Gessel p = 2, m = 1, k = 1
+    (SeqParams(3, 0), SeqParams(1, 0), 3, 2, 0),  # Gessel p = 3, m = 1, k = 1
+    (SeqParams(10, 0), SeqParams(2, 0), 5, 3, 0),  # Gessel p = 5, m = 2, k = 1
+    (SeqParams(4, 0), SeqParams(4, 0), 2, 2, 2),  # special-40, r = 2
+    (SeqParams(6, 0), SeqParams(6, 0), 3, 2, 3),  # special-60, r = 2
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(EQUAL_FAMILIES),
+    extra=st.integers(1, 3),
+    lo=st.integers(0, 24),
+    size=st.integers(1, 25),
+)
+def test_unequal_residues_match_exact_residues(family, extra, lo, size):
+    lhs, rhs, p, proved, shift = family
+    pairs = [(n + shift, n) for n in range(lo, min(lo + size, 25))]
+    args = (lhs, rhs, p, proved + extra, pairs)
+    assert congruences._unequal(*args) == exact_unequal(*args)
+
+
+def test_raised_exponents_produce_witnesses():
+    # the comparisons above would agree vacuously if no witness ever occurred
+    ns = list(range(21))
+    assert exact_antiperiodic(SeqParams(3, 0), 3, 3, 1, ns, "s")
+    assert exact_unequal(SeqParams(4, 0), SeqParams(4, 0), 2, 4, [(n + 2, n) for n in ns])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.sampled_from((3, 5, 7)),
+    j=st.integers(0, 6),
+    r=st.integers(1, 2),
+    lo=st.integers(0, 12),
+    size=st.integers(1, 8),
+)
+def test_public_checks_match_exact_reference(p, j, r, lo, size):
+    j %= p
+    ns = range(lo, lo + size)
+
+    def agrees(report, expected):
+        return (
+            report.instances_checked == size
+            and report.failures == expected[:5]
+            and report.passed == (not expected)
+        )
+
+    def witnesses(summary, mismatches, label):
+        return [
+            {"params": f"{summary} {label(a, b)}", "lhs": x, "rhs": y} for a, b, x, y in mismatches
+        ]
+
+    main_params, main_e = SeqParams(p, j), r + (j == 0)
+    expected = exact_antiperiodic(main_params, p, main_e, p ** (r - 1), ns, f"p={p} j={j} r={r}")
+    assert agrees(check_main_theorem(p, j, r, ns), expected)
+    expected = exact_antiperiodic(SeqParams(p, 0), p, r + 1, p ** (r - 1), ns, f"p={p} k=1 r={r}")
+    assert agrees(check_prime_power(p, 1, r, ns), expected)
+    eps = 1 if p == 3 else 0
+    same = [(n, n) for n in ns]
+    mismatches = exact_unequal(SeqParams(p, 0), SeqParams(1, 0), p, 3 - eps, same)
+    expected = witnesses(f"p={p} m=1 k=1", mismatches, lambda a, b: f"n={a}")
+    assert agrees(check_gessel(p, 1, 1, ns), expected)
+    pairs = [(n, n + 2 * 3 ** (r - 1)) for n in ns]
+    mismatches = exact_unequal(SeqParams(3, 0), SeqParams(3, 0), 3, r + 1, pairs)
+    expected = witnesses(f"k={r}", mismatches, lambda a, b: f"n={a} m={b}")
+    assert agrees(check_komatsu_liu(r, pairs), expected)
+    pairs = [(n + 2 ** (r - 1), n) for n in ns]
+    mismatches = exact_unequal(SeqParams(4, 0), SeqParams(4, 0), 2, r, pairs)
+    expected = witnesses(f"r={r}", mismatches, lambda a, b: f"n={b}")
+    assert agrees(check_special_40(r, ns), expected)
+    n_max = lo + size - 1
+    expected_n0 = exact_special_60_n0(r, n_max)
+    assert check_special_60(r, n_max)[0] == (None if expected_n0 > n_max else expected_n0)

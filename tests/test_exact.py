@@ -1,7 +1,7 @@
 """Tests for the exact arithmetic substrate."""
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from congruential_euler.exact import (
     EgfSeries,
-    binomial,
     binomial_row,
     exp_section,
     is_prime,
@@ -24,12 +23,6 @@ from congruential_euler.exact import (
 SMALL_PRIMES = (2, 3, 5, 7)
 
 
-def factorial_binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return factorial(n) // (factorial(k) * factorial(n - k))
-
-
 class TestPrimality:
     def test_small_values(self):
         primes = [p for p in range(60) if is_prime(p)]
@@ -37,26 +30,6 @@ class TestPrimality:
 
     def test_square_of_prime(self):
         assert not is_prime(49)
-
-
-class TestBinomial:
-    def test_basic(self):
-        assert binomial(6, 4) == 15
-
-    def test_out_of_range_is_zero(self):
-        assert binomial(5, 7) == 0
-        assert binomial(5, -1) == 0
-
-    def test_against_factorial_oracle(self):
-        assert binomial(27, 9) == factorial_binomial(27, 9) == 4686825
-
-    def test_negative_n_rejected(self):
-        with pytest.raises(ValueError):
-            binomial(-1, 0)
-
-    @given(st.integers(0, 80), st.integers(-5, 85))
-    def test_matches_factorial_oracle(self, n, k):
-        assert binomial(n, k) == factorial_binomial(n, k)
 
 
 @st.composite
@@ -123,7 +96,7 @@ class TestValuation:
         # vp(C(n, m)) >= vp(n) - vp(m) for 1 <= m <= n
         if m > n:
             n, m = m, n
-        assert vp(binomial(n, m), p) >= vp(n, p) - vp(m, p)
+        assert vp(comb(n, m), p) >= vp(n, p) - vp(m, p)
 
     @pytest.mark.parametrize("p", SMALL_PRIMES)
     @pytest.mark.parametrize("r", range(1, 6))
@@ -136,7 +109,7 @@ class TestValuation:
         else:
             ms = sorted({1 + (k * 7919) % (q - 1) for k in range(150)})
         for m in ms:
-            assert vp(binomial(q, m), p) == r - vp(m, p)
+            assert vp(comb(q, m), p) == r - vp(m, p)
 
 
 class TestResidue:
