@@ -78,7 +78,7 @@ class ZetaFormulaId(Enum):
 
 
 class BernoulliFormulaId(Enum):
-    """The six displayed Bernoulli evaluations; min_n marks the (n >= 0) lines."""
+    """The six Bernoulli displays; ``BernoulliDisplay.min_n`` marks the (n >= 0) lines."""
 
     b4n_via_40 = "b4n_via_40"
     b4n2_via_40 = "b4n2_via_40"
@@ -112,9 +112,11 @@ def lambda_even(k: int) -> PiPolynomial:
     return PiPolynomial(k, base.coefficient * (1 - Fraction(1, 2**k)))
 
 
-def _weighted_sum(params: SeqParams, top: int, upper: int) -> Fraction:
+def _display_sum(display: BernoulliDisplay, n: int) -> Fraction:
+    """sum_{m=0}^{upper(n)} C(top(n), Nm) E_{Nm}^{(N,j)}: the sum a display multiplies."""
+    params = SeqParams(*display.params)
     total = Fraction(0)
-    weights = binomial_row(top, range(0, params.N * upper + 1, params.N))
+    weights = binomial_row(display.top(n), range(0, params.N * display.upper(n) + 1, params.N))
     for m, weight in enumerate(weights):
         total += weight * euler_number(params, m)
     return total
@@ -122,83 +124,59 @@ def _weighted_sum(params: SeqParams, top: int, upper: int) -> Fraction:
 
 @dataclass(frozen=True)
 class _ZetaDisplay:
-    """One zeta/lambda display; every field but params is a function of n.
+    """One zeta/lambda display: (-1)^{n+1} prefactor(n) times a Bernoulli display's sum.
 
-    The sqrt(2) powers are even, so every prefactor is an exact rational.
+    The power of pi is that Bernoulli display's index.  The prefactor is
+    transcribed from the print, not derived from Euler's formula, so the
+    check still tests the printed display.  The sqrt(2) powers are even, so
+    every prefactor is an exact rational.
     """
 
-    params: tuple[int, int]
-    degree: Callable[[int], int]  # power of pi
-    two_power: Callable[[int], Fraction]  # power of 2 in the prefactor
-    denominator: Callable[[int], int]  # extra integer denominator
-    top: Callable[[int], int]  # binomial top index
-    upper: Callable[[int], int]  # inclusive upper summation bound
+    bernoulli: BernoulliFormulaId  # whose sum this display multiplies
+    prefactor: Callable[[int], Fraction]
+    is_lambda: bool  # left-hand side lambda(k) rather than zeta(k)
 
 
 _ZETA_DISPLAYS = {
     ZetaFormulaId.lambda_4n_via_40: _ZetaDisplay(
-        (4, 0),
-        lambda n: 4 * n,
-        lambda n: Fraction(1, 2 ** (2 * n)),
-        lambda n: 4 * factorial(4 * n - 1),
-        lambda n: 4 * n - 1,
-        lambda n: n - 1,
+        BernoulliFormulaId.b4n_via_40,
+        lambda n: Fraction(1, 2 ** (2 * n) * 4 * factorial(4 * n - 1)),
+        True,
     ),
     ZetaFormulaId.lambda_4n2_via_40: _ZetaDisplay(
-        (4, 0),
-        lambda n: 4 * n - 2,
-        lambda n: Fraction(1, 2 ** (2 * n - 1)),
-        lambda n: 4 * factorial(4 * n - 3),
-        lambda n: 4 * n - 3,
-        lambda n: n - 1,
+        BernoulliFormulaId.b4n2_via_40,
+        lambda n: Fraction(1, 2 ** (2 * n - 1) * 4 * factorial(4 * n - 3)),
+        True,
     ),
     ZetaFormulaId.zeta_4n_via_40: _ZetaDisplay(
-        (4, 0),
-        lambda n: 4 * n,
-        lambda n: Fraction(2 ** (2 * n)),
-        lambda n: 4 * factorial(4 * n - 1) * (2 ** (4 * n) - 1),
-        lambda n: 4 * n - 1,
-        lambda n: n - 1,
+        BernoulliFormulaId.b4n_via_40,
+        lambda n: Fraction(2 ** (2 * n), 4 * factorial(4 * n - 1) * (2 ** (4 * n) - 1)),
+        False,
     ),
     ZetaFormulaId.zeta_4n2_via_40: _ZetaDisplay(
-        (4, 0),
-        lambda n: 4 * n - 2,
-        lambda n: Fraction(2 ** (2 * n - 1)),
-        lambda n: 4 * factorial(4 * n - 3) * (2 ** (4 * n - 2) - 1),
-        lambda n: 4 * n - 3,
-        lambda n: n - 1,
+        BernoulliFormulaId.b4n2_via_40,
+        lambda n: Fraction(2 ** (2 * n - 1), 4 * factorial(4 * n - 3) * (2 ** (4 * n - 2) - 1)),
+        False,
     ),
     ZetaFormulaId.zeta_4n_via_42: _ZetaDisplay(
-        (4, 2),
-        lambda n: 4 * n,
-        lambda n: Fraction(2 ** (2 * n)),
-        lambda n: 4 * factorial(4 * n + 1),
-        lambda n: 4 * n + 1,
-        lambda n: n,
+        BernoulliFormulaId.b4n_via_42,
+        lambda n: Fraction(2 ** (2 * n), 4 * factorial(4 * n + 1)),
+        False,
     ),
     ZetaFormulaId.zeta_4n2_via_42: _ZetaDisplay(
-        (4, 2),
-        lambda n: 4 * n - 2,
-        lambda n: Fraction(2 ** (2 * n - 1)),
-        lambda n: 4 * factorial(4 * n - 1),
-        lambda n: 4 * n - 1,
-        lambda n: n - 1,
+        BernoulliFormulaId.b4n2_via_42,
+        lambda n: Fraction(2 ** (2 * n - 1), 4 * factorial(4 * n - 1)),
+        False,
     ),
     ZetaFormulaId.zeta_6n_via_63: _ZetaDisplay(
-        (6, 3),
-        lambda n: 6 * n,
-        lambda n: Fraction(2 ** (6 * n)),
-        lambda n: 6 * factorial(6 * n + 2),
-        lambda n: 6 * n + 2,
-        lambda n: n,
+        BernoulliFormulaId.b6n_via_63,
+        lambda n: Fraction(2 ** (6 * n), 6 * factorial(6 * n + 2)),
+        False,
     ),
     ZetaFormulaId.zeta_6n4_via_63: _ZetaDisplay(
-        (6, 3),
-        lambda n: 6 * n - 4,
-        lambda n: Fraction(2 ** (6 * n - 4)),
-        lambda n: 6 * factorial(6 * n - 2),
-        lambda n: 6 * n - 2,
-        lambda n: n - 1,
+        BernoulliFormulaId.b6n4_via_63,
+        lambda n: Fraction(2 ** (6 * n - 4), 6 * factorial(6 * n - 2)),
+        False,
     ),
 }
 
@@ -208,19 +186,18 @@ def formula_value(formula: ZetaFormulaId, n: int) -> PiPolynomial:
     if n < 1:
         raise ValueError("formula_value: n must be positive")
     display = _ZETA_DISPLAYS[formula]
-    total = _weighted_sum(SeqParams(*display.params), display.top(n), display.upper(n))
-    coefficient = Fraction((-1) ** (n + 1)) * display.two_power(n) / display.denominator(n) * total
-    return PiPolynomial(display.degree(n), coefficient)
+    source = BERNOULLI_DISPLAYS[display.bernoulli]
+    coefficient = (-1) ** (n + 1) * display.prefactor(n) * _display_sum(source, n)
+    return PiPolynomial(source.index(n), coefficient)
 
 
 def formula_reference(formula: ZetaFormulaId, n: int) -> PiPolynomial:
     """Left-hand side of the display: the actual zeta or lambda value."""
     if n < 1:
         raise ValueError("formula_reference: n must be positive")
-    degree = _ZETA_DISPLAYS[formula].degree(n)
-    if formula.value.startswith("lambda"):
-        return lambda_even(degree)
-    return zeta_even(degree)
+    display = _ZETA_DISPLAYS[formula]
+    degree = BERNOULLI_DISPLAYS[display.bernoulli].index(n)
+    return lambda_even(degree) if display.is_lambda else zeta_even(degree)
 
 
 def check_zeta_identity(formula: ZetaFormulaId, n: int) -> bool:
@@ -297,8 +274,7 @@ def bernoulli_formula_value(formula: BernoulliFormulaId, n: int) -> Fraction:
     display = BERNOULLI_DISPLAYS[formula]
     if n < display.min_n:
         raise ValueError(f"{formula.value}: n must be at least {display.min_n}")
-    total = _weighted_sum(SeqParams(*display.params), display.top(n), display.upper(n))
-    return display.prefactor(n) * total
+    return display.prefactor(n) * _display_sum(display, n)
 
 
 def check_bernoulli_identity(formula: BernoulliFormulaId, n: int) -> bool:
@@ -309,7 +285,13 @@ def check_bernoulli_identity(formula: BernoulliFormulaId, n: int) -> bool:
 
 # --- floating-point zero geometry ------------------------------------------
 
-ZERO_FAMILIES = ((4, 0), (4, 2), (6, 3))
+# The closed-form zero lattice of each family: z_{k,0} = direction * (k - offset) * pi.
+_LATTICE = {
+    (4, 0): (1 + 1j, 0.5),
+    (4, 2): (1 + 1j, 0.0),
+    (6, 3): (complex(math.sqrt(3.0), 1.0), 0.0),
+}
+ZERO_FAMILIES = tuple(_LATTICE)
 
 _EXP_LIMIT = 700.0  # beyond this, exp overflows doubles
 
@@ -365,22 +347,18 @@ def predicted_zero(family: tuple[int, int], k: int, l: int) -> complex:
     """Closed-form nontrivial zero z_{k,l} of H_{N,j} for the three families.
 
     The (4, 0) zeros sit at (1+i)(k - 1/2) pi, the (4, 2) zeros at
-    (1+i) k pi, and the (6, 3) zeros at (sqrt(3)+i) k pi, each rotated by
-    the N-th roots of unity (index l).
+    (1+i) k pi, and the (6, 3) zeros at (sqrt(3)+i) k pi (see _LATTICE),
+    each rotated by the N-th roots of unity (index l).
     """
     if k < 1:
         raise ValueError("predicted_zero: k must be positive")
     N = family[0]
     if not 0 <= l < N:
         raise ValueError(f"predicted_zero: need 0 <= l < {N}")
-    rotation = cmath.rect(1.0, 2.0 * math.pi * l / N)
-    if family == (4, 0):
-        return (1 + 1j) * (k - 0.5) * math.pi * rotation
-    if family == (4, 2):
-        return (1 + 1j) * k * math.pi * rotation
-    if family == (6, 3):
-        return complex(math.sqrt(3.0), 1.0) * k * math.pi * rotation
-    raise ValueError(f"predicted_zero: unknown family {family}")
+    if family not in _LATTICE:
+        raise ValueError(f"predicted_zero: unknown family {family}")
+    direction, offset = _LATTICE[family]
+    return direction * (k - offset) * math.pi * cmath.rect(1.0, 2.0 * math.pi * l / N)
 
 
 def family_zeros(family: tuple[int, int], count: int) -> list[tuple[int, int, complex]]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 from .exact import binomial_row, exp_section, is_prime, series_invert, series_shift_down
 
@@ -236,14 +236,12 @@ def cache_store(table: SeqTable, path: Union[str, Path]) -> None:
         raise
 
 
-_HEADER_RE = re.compile(r"^congruential-euler-cache v1 N=(\d+) j=(\d+)$")
+_HEADER_RE = re.compile(rf"^{re.escape(CACHE_HEADER_VERSION)} N=(\d+) j=(\d+)$")
 _ENTRY_RE = re.compile(r"^(\d+) (-?\d+)/(\d+)$")
 
 
-def cache_load(
-    params: SeqParams, path: Union[str, Path], n_max: Optional[int] = None
-) -> SeqTable:
-    """Load a table back; a file longer than requested returns the prefix."""
+def cache_load(params: SeqParams, path: Union[str, Path]) -> SeqTable:
+    """Load a table back, rejecting a malformed file with CacheFormatError."""
     path = Path(path)
     try:
         lines = path.read_text(encoding="ascii").splitlines()
@@ -277,12 +275,6 @@ def cache_load(
         if (value.numerator, value.denominator) != (num, den):
             raise CacheFormatError(f"{path}: line {lineno}: fraction {line!r} not reduced")
         values.append(value)
-    if n_max is not None:
-        if n_max >= len(values):
-            raise CacheFormatError(
-                f"{path}: cache holds {len(values)} entries, requested index {n_max}"
-            )
-        values = values[: n_max + 1]
     if not values:
         raise CacheFormatError(f"{path}: line 2: no entries")
     return SeqTable(params, values)

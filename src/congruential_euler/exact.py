@@ -147,11 +147,6 @@ class EgfSeries:
     def __getitem__(self, n: int) -> Fraction:
         return self.coeffs[n]
 
-    def truncate(self, order: int) -> "EgfSeries":
-        if order >= self.order:
-            return self
-        return EgfSeries(self.coeffs[: order + 1])
-
     def _as_series(self, other: object) -> "EgfSeries | None":
         if isinstance(other, EgfSeries):
             return other

@@ -134,8 +134,6 @@ def scan_conjecture(
         raise ValueError("scan_conjecture: p must be prime")
     if m < 1 or ((p - 1) % m != 0 and m != 2):
         raise ValueError("scan_conjecture: m must divide p-1 or equal 2")
-    if p * m < 2:
-        raise ValueError("scan_conjecture: need p*m >= 2")
     mp = m * p
     if not 0 <= j < mp:
         raise ValueError("scan_conjecture: need 0 <= j < m*p")
@@ -214,7 +212,11 @@ def _dash(value) -> str:
 
 @dataclass(frozen=True)
 class ReferenceRow:
-    """One row of the published residue-period table, for reproduction runs."""
+    """One row of the published residue-period table, for reproduction runs.
+
+    ``companion`` is an (m, j, r) scan at the same p, run next to the row's
+    own scan and reported with it.
+    """
 
     mp: int
     j: int
@@ -223,11 +225,14 @@ class ReferenceRow:
     published_n0: int
     published_period: int
     note: str = ""
+    companion: Optional[tuple[int, int, int]] = None
 
 
 # The published evidence table, in its printed order.  The final row was
 # printed with r = 2 although 2058 = 6 * 7^3 is the conjectured period for
-# r = 3; the preset scans both exponents and reports which one matches.
+# r = 3; its ``companion`` is the r = 3 scan, and whichever of the two
+# reproduces the print is reported.  The (10,7) row's companion is the
+# (10,4) scan at the same r, which it was printed among.
 # The (42,9)/r=1, (20,13)/r=3 and (6,3)/r=5 rows are kept as printed although
 # exact recomputation contradicts them; the README section "Known
 # discrepancies in the published period table" gives the corrected values.
@@ -241,7 +246,8 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
     ReferenceRow(6, 3, 3, 5, 3, 486),
     ReferenceRow(10, 4, 5, 1, 1, 20),
     ReferenceRow(10, 4, 5, 2, 1, 100),
-    ReferenceRow(10, 7, 5, 3, 2, 500, note="printed among rows otherwise labeled (10,4)"),
+    ReferenceRow(10, 7, 5, 3, 2, 500, note="printed among rows otherwise labeled (10,4)",
+                 companion=(2, 4, 3)),
     ReferenceRow(20, 13, 5, 1, 0, 20),
     ReferenceRow(20, 13, 5, 2, 1, 100),
     ReferenceRow(20, 13, 5, 3, 2, 500),
@@ -251,7 +257,8 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
     ReferenceRow(21, 16, 7, 2, 1, 294),
     ReferenceRow(42, 9, 7, 1, 1, 21),
     ReferenceRow(42, 9, 7, 2, 1, 294),
-    ReferenceRow(42, 9, 7, 2, 1, 2058, note="printed r=2; 2058 = 6*7^3 suggests r=3"),
+    ReferenceRow(42, 9, 7, 2, 1, 2058, note="printed r=2; 2058 = 6*7^3 suggests r=3",
+                 companion=(6, 9, 3)),
 )
 
 
@@ -284,27 +291,19 @@ class ReferenceOutcome:
 
 
 def _reference_outcome(row: ReferenceRow) -> ReferenceOutcome:
-    m = row.mp // row.p
-    companions: list[PeriodScanResult] = []
-    if row.published_period == 2058:
-        # printed r=2 is ambiguous: scan both exponents, keep the match
-        result_r2 = scan_conjecture(row.p, m, row.j, 2)
-        result_r3 = scan_conjecture(row.p, m, row.j, 3)
-        if (result_r3.n0, result_r3.period_index) == (row.published_n0, row.published_period):
-            result, other = result_r3, result_r2
-        else:
-            result, other = result_r2, result_r3
-        companions.append(other)
-        matches = (result.n0, result.period_index) == (row.published_n0, row.published_period)
-        outcome = ReferenceOutcome(row, result, matches, companions)
-        result.note = outcome.annotation() + f"; matched by r={result.r} scan"
-        return outcome
-    result = scan_conjecture(row.p, m, row.j, row.r)
-    if (row.mp, row.j, row.r) == (10, 7, 3):
-        companions.append(scan_conjecture(row.p, 2, 4, 3))
-    matches = (result.n0, result.period_index) == (row.published_n0, row.published_period)
-    outcome = ReferenceOutcome(row, result, matches, companions)
-    result.note = outcome.annotation()
+    """Scan the row and its companion; swap them only if the companion alone matches."""
+    printed = (row.published_n0, row.published_period)
+    result = scan_conjecture(row.p, row.mp // row.p, row.j, row.r)
+    companions = [] if row.companion is None else [scan_conjecture(row.p, *row.companion)]
+    swap = (
+        bool(companions)
+        and (result.n0, result.period_index) != printed
+        and (companions[0].n0, companions[0].period_index) == printed
+    )
+    if swap:
+        result, companions = companions[0], [result]
+    outcome = ReferenceOutcome(row, result, (result.n0, result.period_index) == printed, companions)
+    result.note = outcome.annotation() + (f"; matched by r={result.r} scan" if swap else "")
     return outcome
 
 

@@ -87,6 +87,18 @@ class TestZetaDisplays:
         for n in range(1, 4):
             assert check_zeta_identity(formula, n)
 
+    @pytest.mark.parametrize("formula", list(ZetaFormulaId))
+    def test_display_is_euler_times_its_bernoulli_display(self, formula):
+        # zeta_4n_via_40 multiplies the sum of b4n_via_40, lambda_4n2_via_40 that of b4n2_via_40, ...
+        source = BernoulliFormulaId("b" + formula.value.split("_", 1)[1])
+        for n in range(1, 13):
+            value = formula_value(formula, n)
+            k = value.degree
+            euler = Fraction((-1) ** (k // 2 + 1) * 2 ** (k - 1), math.factorial(k))
+            if formula.value.startswith("lambda"):
+                euler *= 1 - Fraction(1, 2**k)
+            assert value.coefficient == euler * bernoulli_formula_value(source, n)
+
     def test_cross_formula_consistency(self):
         for n in range(1, 4):
             assert formula_value(ZetaFormulaId.zeta_4n_via_40, n) == formula_value(

@@ -172,12 +172,6 @@ class TestCache:
         cache_store(table, path)
         assert cache_load(SeqParams(4, 2), path).values == table.values
 
-    def test_prefix_load(self, tmp_path):
-        path = tmp_path / "euler.txt"
-        cache_store(compute_table(SeqParams(2, 0), 9), path)
-        loaded = cache_load(SeqParams(2, 0), path, n_max=4)
-        assert loaded.values == compute_table(SeqParams(2, 0), 4).values
-
     def test_params_mismatch(self, tmp_path):
         path = tmp_path / "euler.txt"
         cache_store(compute_table(SeqParams(2, 0), 3), path)
@@ -213,12 +207,6 @@ class TestCache:
         path.write_text("congruential-euler-cache v1 N=2 j=0\n0 2/4\n")
         with pytest.raises(CacheFormatError, match="line 2"):
             cache_load(SeqParams(2, 0), path)
-
-    def test_request_beyond_file(self, tmp_path):
-        path = tmp_path / "euler.txt"
-        cache_store(compute_table(SeqParams(2, 0), 3), path)
-        with pytest.raises(CacheFormatError, match="requested"):
-            cache_load(SeqParams(2, 0), path, n_max=10)
 
     def test_store_format_is_stable(self, tmp_path):
         path = tmp_path / "euler.txt"

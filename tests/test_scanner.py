@@ -5,6 +5,8 @@ import json
 import pytest
 
 from congruential_euler.scanner import (
+    ReferenceRow,
+    _reference_outcome,
     detect_eventual_period,
     emit_table,
     scan_conjecture,
@@ -136,6 +138,35 @@ class TestScan:
         result = scan_conjecture(p, 2, 0, r)
         assert result.status == "ok"
         assert (2 * p**r) % result.period_index == 0
+
+
+class TestReferenceOutcome:
+    # (mp, j) = (6, 3) at p = 3 scans to (n0, period) = (1, 6) at r = 1 and
+    # (1, 18) at r = 2; the companion (m, j, r) = (2, 3, 2) is the r = 2 scan.
+    def test_own_match_keeps_the_row_scan(self):
+        outcome = _reference_outcome(ReferenceRow(6, 3, 3, 1, 1, 6, companion=(2, 3, 2)))
+        assert outcome.matches and outcome.result.r == 1
+        assert [c.r for c in outcome.companions] == [2]
+        assert "companion scan (mp,j)=(6,3) r=2: n0=1 period=18" in outcome.result.note
+        assert "matched by" not in outcome.result.note
+
+    def test_companion_match_swaps_the_scans(self):
+        outcome = _reference_outcome(ReferenceRow(6, 3, 3, 1, 1, 18, companion=(2, 3, 2)))
+        assert outcome.matches and outcome.result.r == 2
+        assert [c.r for c in outcome.companions] == [1]
+        assert outcome.result.note.endswith("; matched by r=2 scan")
+
+    def test_no_match_keeps_the_row_scan(self):
+        outcome = _reference_outcome(ReferenceRow(6, 3, 3, 1, 0, 54, companion=(2, 3, 2)))
+        assert not outcome.matches and outcome.result.r == 1
+        assert [c.r for c in outcome.companions] == [2]
+        assert "published (n0=0, period=54) vs computed (n0=1, period=6)" in outcome.result.note
+        assert "matched by" not in outcome.result.note
+
+    def test_row_without_companion(self):
+        outcome = _reference_outcome(ReferenceRow(6, 3, 3, 1, 1, 6))
+        assert outcome.matches and outcome.companions == []
+        assert outcome.result.note == "reproduced"
 
 
 class TestEmit:
