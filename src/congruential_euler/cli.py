@@ -38,6 +38,7 @@ from .engine import (
     cache_load,
     cache_store,
     compute_table,
+    seed_memo,
 )
 from .scanner import emit_table, run_reference_scan, scan_conjecture
 
@@ -91,20 +92,21 @@ def _emit(args: argparse.Namespace, record: dict, text: str, tsv: Optional[str] 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
     params = SeqParams(args.N, args.j)
+    path = None if args.no_cache else _cache_path(args, params)
+    held = 0  # entries of a valid cache file, which seed the memo
+    if path is not None and path.exists():
+        try:
+            cached = cache_load(params, path)
+        except ValueError as exc:
+            print(f"warning: cache file {path.name} is unreadable, rewriting it: {exc}",
+                  file=sys.stderr)
+        else:
+            seed_memo(cached)
+            held = len(cached.values)
     table = compute_table(params, args.n_max)
-    if not args.no_cache:
+    if path is not None and len(table.values) > held:
         args.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = _cache_path(args, params)
-        stored = table
-        if path.exists():
-            try:
-                existing = cache_load(params, path)
-                if existing.max_index > table.max_index:
-                    stored = existing
-            except ValueError as exc:
-                print(f"warning: cache file {path.name} is unreadable, rewriting it: {exc}",
-                      file=sys.stderr)
-        cache_store(stored, path)
+        cache_store(table, path)
     for n, value in enumerate(table.values):
         text = f"{value.numerator}/{value.denominator}"
         _emit(args, {"n": n, "value": text}, f"{n} {text}")

@@ -39,10 +39,12 @@ __all__ = [
     "cache_header",
     "cache_store",
     "cache_load",
+    "seed_memo",
     "CacheFormatError",
 ]
 
 CACHE_HEADER_VERSION = "congruential-euler-cache v1"
+CACHE_CHECK_PRIME = 2**31 - 1  # cache_load checks every entry mod this prime
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,17 @@ def _extend(params: SeqParams, n_max: int) -> list[Fraction]:
                 acc += weight * value
             values.append(-acc / divisor)
     return values
+
+
+def seed_memo(table: SeqTable) -> None:
+    """Add the entries of a checked table past the memo's end to the memo.
+
+    :func:`compute_table` then extends only past them.  Entries the memo
+    already holds stay as they are; an absent memo starts from E_0 = j!.
+    """
+    with _LOCK:
+        values = _TABLES.setdefault(table.params, [Fraction(factorial(table.params.j))])
+        values += table.values[len(values):]
 
 
 def euler_number(params: SeqParams, n: int) -> Fraction:
@@ -218,7 +231,9 @@ def cache_store(table: SeqTable, path: Union[str, Path]) -> None:
 
     The text goes to a temporary file in the same directory, which then
     replaces ``path`` in one step: a failed write leaves any earlier file
-    as it was and no temporary file behind.
+    as it was and no temporary file behind.  The file holds exactly
+    ``table``; ``ceuler compute`` calls this only when its table is longer
+    than the valid file it found, so a warm run writes nothing.
     """
     path = Path(path)
     lines = [cache_header(table.params)]
@@ -241,7 +256,29 @@ _ENTRY_RE = re.compile(r"^(\d+) (-?\d+)/(\d+)$")
 
 
 def cache_load(params: SeqParams, path: Union[str, Path]) -> SeqTable:
-    """Load a table back, rejecting a malformed file with CacheFormatError."""
+    """Load a table back and check it, raising CacheFormatError on a bad file.
+
+    The file must have the header for ``params`` and entries ``<n> <a>/<b>``
+    for n = 0, 1, 2, ... in order, each fraction reduced with b > 0.  Then
+    every entry is checked against the recurrence mod the prime
+    q = CACHE_CHECK_PRIME = 2^31 - 1: with rho_n = ``residue_table(params,
+    q, 1, n_max)[n]``, entry n is accepted only if a = rho_n * b (mod q).
+    The error message names the line of the first entry that fails.
+
+    Guarantee: an accepted entry agrees with the true E_n mod q.  Proof.
+    The check requires q > N*n_max + j, so q divides no k! with
+    k <= Nn + j.  In :func:`residue_table` every Legendre exponent is then
+    0, so every v_n is 0, the working precision is R = r = 1, no entry stops
+    the list, and each rho_n = E_n (mod q) exactly.  Let a/b be accepted
+    for index n.  If q divided b, then a = rho_n * b = 0 (mod q), and a/b
+    would not be reduced; so b is a unit mod q and a/b = rho_n = E_n (mod q).
+
+    Consequence: changing one digit of a correct numerator a is always
+    rejected.  The new numerator is a' = a +- d * 10^k with 1 <= d <= 9, and
+    a' = rho_n * b = a (mod q) would need q to divide d * 10^k, which no
+    prime q > 10 does.  The check guards against corruption, not against a
+    file forged to agree mod q; the exact recurrence stays the oracle.
+    """
     path = Path(path)
     try:
         lines = path.read_text(encoding="ascii").splitlines()
@@ -258,6 +295,7 @@ def cache_load(params: SeqParams, path: Union[str, Path]) -> SeqTable:
             f"requested N={params.N} j={params.j}"
         )
     values: list[Fraction] = []
+    linenos: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
@@ -275,6 +313,16 @@ def cache_load(params: SeqParams, path: Union[str, Path]) -> SeqTable:
         if (value.numerator, value.denominator) != (num, den):
             raise CacheFormatError(f"{path}: line {lineno}: fraction {line!r} not reduced")
         values.append(value)
+        linenos.append(lineno)
     if not values:
         raise CacheFormatError(f"{path}: line 2: no entries")
+    q = CACHE_CHECK_PRIME
+    if params.N * (len(values) - 1) + params.j >= q:
+        raise CacheFormatError(f"{path}: line {linenos[-1]}: too many entries to check mod {q}")
+    residues = residue_table(params, q, 1, len(values) - 1)
+    for n, (value, residue, lineno) in enumerate(zip(values, residues, linenos)):
+        if (value.numerator - residue * value.denominator) % q:
+            raise CacheFormatError(
+                f"{path}: line {lineno}: entry {n} disagrees with the recurrence mod {q}"
+            )
     return SeqTable(params, values)

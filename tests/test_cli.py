@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from congruential_euler.cli import main
+from congruential_euler.engine import SeqParams, compute_table
 
 
 def run(capsys, *argv):
@@ -95,6 +96,84 @@ class TestCompute:
         files = list(tmp_path.glob("euler_N3_j0.txt"))
         assert len(files) == 1
         assert files[0].read_text().splitlines()[0] == "congruential-euler-cache v1 N=3 j=0"
+
+
+class TestWarmCache:
+    """A valid cache file seeds the memo; the file is rewritten only when the table grows.
+
+    Each test drops its table from the in-process memo before a run, as a
+    new process would start without it.
+    """
+
+    PARAMS = SeqParams(4, 2)
+
+    def compute(self, capsys, tmp_path, n_max, *extra):
+        return run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", "4", "--j", "2",
+                   "--n-max", str(n_max), *extra)
+
+    def test_warm_run_does_not_rewrite_the_file(self, capsys, tmp_path, forget_tables):
+        path = tmp_path / "euler_N4_j2.txt"
+        forget_tables(self.PARAMS)
+        _, cold, _ = self.compute(capsys, tmp_path, 8)
+        before = path.stat()
+        forget_tables(self.PARAMS)
+        code, warm, err = self.compute(capsys, tmp_path, 8)
+        after = path.stat()
+        assert (code, warm, err) == (0, cold, "")
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_short_file_is_extended_from_its_prefix(
+        self, capsys, tmp_path, forget_tables, count_rows
+    ):
+        path = tmp_path / "euler_N4_j2.txt"
+        forget_tables(self.PARAMS)
+        _, expected, _ = self.compute(capsys, tmp_path, 9, "--no-cache")
+        forget_tables(self.PARAMS)
+        self.compute(capsys, tmp_path, 4)
+        assert len(path.read_text().splitlines()) == 1 + 5
+        forget_tables(self.PARAMS)
+        count_rows.clear()
+        code, out, _ = self.compute(capsys, tmp_path, 9)
+        assert (code, out) == (0, expected)
+        assert len(count_rows) == 5
+        assert path.read_text().splitlines()[1:] == expected.splitlines()
+
+    def test_longer_file_is_left_as_it_is(self, capsys, tmp_path, forget_tables, count_rows):
+        path = tmp_path / "euler_N4_j2.txt"
+        forget_tables(self.PARAMS)
+        _, long, _ = self.compute(capsys, tmp_path, 9)
+        before, text = path.stat(), path.read_bytes()
+        forget_tables(self.PARAMS)
+        count_rows.clear()
+        code, out, _ = self.compute(capsys, tmp_path, 4)
+        after = path.stat()
+        assert (code, out) == (0, "".join(long.splitlines(keepends=True)[:5]))
+        assert count_rows == []
+        assert path.read_bytes() == text
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def test_wrong_entry_is_never_printed(self, capsys, tmp_path, forget_tables):
+        path = tmp_path / "euler_N4_j2.txt"
+        forget_tables(self.PARAMS)
+        _, expected, _ = self.compute(capsys, tmp_path, 5)
+        good = path.read_text()
+        path.write_text(good.replace("3 -8018/455\n", "3 -8017/455\n"))
+        forget_tables(self.PARAMS)
+        code, out, err = self.compute(capsys, tmp_path, 5)
+        assert (code, out) == (0, expected)
+        assert "-8017" not in out
+        assert err.startswith("warning: cache file euler_N4_j2.txt is unreadable, rewriting it")
+        assert "line 5: entry 3 disagrees with the recurrence" in err
+        assert path.read_text() == good
+
+    def test_file_never_grows_to_the_memo_length(self, capsys, tmp_path, forget_tables):
+        path = tmp_path / "euler_N4_j2.txt"
+        forget_tables(self.PARAMS)
+        compute_table(self.PARAMS, 20)
+        self.compute(capsys, tmp_path, 5)
+        assert len(path.read_text().splitlines()) == 1 + 6
+        self.compute(capsys, tmp_path, 3)
+        assert len(path.read_text().splitlines()) == 1 + 6
 
 
 class TestVerify:
@@ -305,6 +384,17 @@ class TestCache:
         assert errors[0].startswith("error: ") and "euler_N3_j0.txt" in errors[0]
         assert "bad header 'garbage'" in errors[0]
         assert "euler_N4_j2.txt" in errors[1] and "requested N=4 j=2" in errors[1]
+
+    def test_inspect_reports_wrong_values(self, capsys, tmp_path):
+        for N, j, n_max in ((2, 0, 3), (4, 2, 5)):
+            run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", str(N), "--j", str(j),
+                "--n-max", str(n_max))
+        path = tmp_path / "euler_N4_j2.txt"
+        path.write_text(path.read_text().replace("4 302258/153\n", "4 302257/153\n"))
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "cache", "inspect")
+        assert code == 2
+        assert out == "euler_N2_j0.txt: congruential-euler-cache v1 N=2 j=0 (4 entries)\n"
+        assert err.startswith("error: ") and "euler_N4_j2.txt: line 6: entry 4" in err
 
 
 def test_usage_error_exit_code():

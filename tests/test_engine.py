@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from congruential_euler import engine
 from congruential_euler.engine import (
+    CACHE_CHECK_PRIME,
     CacheFormatError,
     SeqParams,
     SeqTable,
@@ -17,6 +19,7 @@ from congruential_euler.engine import (
     euler_number,
     oracle_table,
     residue_table,
+    seed_memo,
 )
 from congruential_euler.exact import residue_mod_prime_power
 
@@ -208,6 +211,46 @@ class TestCache:
         with pytest.raises(CacheFormatError, match="line 2"):
             cache_load(SeqParams(2, 0), path)
 
+    def test_wrong_reduced_entry_names_line(self, tmp_path):
+        path = tmp_path / "euler.txt"
+        cache_store(compute_table(SeqParams(4, 2), 5), path)
+        text = path.read_text().splitlines()
+        assert text[4] == "3 -8018/455"
+        text[4] = "3 -8017/455"  # well formed and reduced, but not E_12
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(CacheFormatError, match=f"line 5: entry 3 .* mod {CACHE_CHECK_PRIME}"):
+            cache_load(SeqParams(4, 2), path)
+
+    def test_every_single_digit_numerator_edit_is_rejected(self, tmp_path):
+        path = tmp_path / "euler.txt"
+        cache_store(compute_table(SeqParams(4, 2), 5), path)
+        lines = path.read_text().splitlines()
+        edits = 0
+        for row in range(1, len(lines)):
+            index, fraction = lines[row].split(" ")
+            numerator, denominator = fraction.split("/")
+            for position, old in enumerate(numerator):
+                if not old.isdigit():
+                    continue
+                for new in "0123456789".replace(old, ""):
+                    edited = numerator[:position] + new + numerator[position + 1:]
+                    changed = lines[:row] + [f"{index} {edited}/{denominator}"] + lines[row + 1:]
+                    path.write_text("\n".join(changed) + "\n")
+                    with pytest.raises(CacheFormatError, match=f"line {row + 1}:"):
+                        cache_load(SeqParams(4, 2), path)
+                    edits += 1
+        assert edits == 9 * len("22268018302258680948762")
+
+    def test_table_too_long_for_the_check_prime(self, tmp_path, monkeypatch):
+        # a small stand-in for q: (4,2) entry n needs q > 4n + 2
+        monkeypatch.setattr(engine, "CACHE_CHECK_PRIME", 11)
+        path = tmp_path / "euler.txt"
+        cache_store(compute_table(SeqParams(4, 2), 2), path)
+        assert cache_load(SeqParams(4, 2), path).max_index == 2
+        cache_store(compute_table(SeqParams(4, 2), 3), path)
+        with pytest.raises(CacheFormatError, match="line 5: too many entries to check mod 11"):
+            cache_load(SeqParams(4, 2), path)
+
     def test_store_format_is_stable(self, tmp_path):
         path = tmp_path / "euler.txt"
         cache_store(SeqTable(SeqParams(4, 2), [Fraction(2), Fraction(-2, 15)]), path)
@@ -230,3 +273,28 @@ class TestCache:
             resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
         assert path.read_bytes() == before
         assert [entry.name for entry in tmp_path.iterdir()] == ["euler.txt"]
+
+
+class TestSeedMemo:
+    def test_extends_only_past_the_seeded_prefix(self, forget_tables, count_rows):
+        params = SeqParams(4, 2)
+        expected = oracle_table(params, 9).values
+        forget_tables(params)
+        seed_memo(SeqTable(params, expected[:5]))
+        assert compute_table(params, 9).values == expected
+        assert len(count_rows) == 5
+
+    def test_keeps_the_entries_the_memo_holds(self, forget_tables):
+        params = SeqParams(4, 2)
+        forget_tables(params)
+        expected = compute_table(params, 6).values
+        seed_memo(SeqTable(params, [Fraction(7)] * 3))
+        assert engine._TABLES[params] == expected
+        seed_memo(SeqTable(params, expected + [Fraction(7)]))
+        assert engine._TABLES[params] == expected + [Fraction(7)]
+
+    def test_empty_table_leaves_a_working_memo(self, forget_tables):
+        params = SeqParams(4, 2)
+        forget_tables(params)
+        seed_memo(SeqTable(params, []))
+        assert compute_table(params, 1).values == [2, Fraction(-2, 15)]
