@@ -11,6 +11,7 @@ and is confined to this module.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ __all__ = [
     "rounding_floor",
     "check_special_values",
     "find_zeros_in_disk",
+    "lattice_zeros",
     "extraneous_zeros",
     "ratio_radius",
     "ZERO_FAMILIES",
@@ -292,6 +294,8 @@ _LATTICE = {
     (6, 3): (complex(math.sqrt(3.0), 1.0), 0.0),
 }
 ZERO_FAMILIES = tuple(_LATTICE)
+_MATCH_TOL = 1e-9  # a certified zero this close to a lattice point is that point's zero
+_SPECIAL_REL_TOL = 1e-8  # relative tolerance of each check_special_values cross-relation
 
 _EXP_LIMIT = 700.0  # beyond this, exp overflows doubles
 
@@ -361,22 +365,20 @@ def predicted_zero(family: tuple[int, int], k: int, l: int) -> complex:
     return direction * (k - offset) * math.pi * cmath.rect(1.0, 2.0 * math.pi * l / N)
 
 
+def _rings(family: tuple[int, int]):
+    """The closed-form lattice ring by ring: (k, [z_{k,0}, ..., z_{k,N-1}]) for k = 1, 2, ..."""
+    for k in itertools.count(1):
+        yield k, [predicted_zero(family, k, l) for l in range(family[0])]
+
+
 def family_zeros(family: tuple[int, int], count: int) -> list[tuple[int, int, complex]]:
     """The first ``count`` nontrivial zeros, ordered by modulus then rotation.
 
     Returns (k, l, zero) triples; within one modulus ring the rotation
     index l runs from 0.
     """
-    N = family[0]
-    out = []
-    k = 1
-    while len(out) < count:
-        for l in range(N):
-            out.append((k, l, predicted_zero(family, k, l)))
-            if len(out) == count:
-                break
-        k += 1
-    return out
+    points = ((k, l, z) for k, ring in _rings(family) for l, z in enumerate(ring))
+    return list(itertools.islice(points, max(count, 0)))
 
 
 def locate_zero(
@@ -412,13 +414,13 @@ def locate_zero(
     raise ArithmeticError(f"locate_zero: no convergence, last iterate {z} (|H|={residual:.3e})")
 
 
-def check_special_values(k: int, l: int, rel_tol: float = 1e-8) -> bool:
+def check_special_values(k: int, l: int) -> bool:
     """Cross-relations of H values at the closed-form zeros.
 
     At z_{k,l} of the (4,0) family, H_{4,1} = i^{2l+3} H_{4,3}; at z_{k,l}
     of the (4,2) family, H_{4,3} = i^{2l+3} H_{4,1}; at z_{k,l} of the
     (6,3) family (0 <= l < 6), H_{6,4} = zeta_6^{2(l-1)} H_{6,2}.  Checks
-    every relation whose l-range admits l, to relative tolerance.
+    every relation whose l-range admits l, to relative tolerance _SPECIAL_REL_TOL.
     """
     if k < 1 or l < 0:
         raise ValueError("check_special_values: need k >= 1 and l >= 0")
@@ -438,7 +440,7 @@ def check_special_values(k: int, l: int, rel_tol: float = 1e-8) -> bool:
     checks.append((eval_H(6, 4, z), factor * eval_H(6, 2, z)))
     for lhs, rhs in checks:
         scale = max(abs(lhs), abs(rhs), 1e-300)
-        if abs(lhs - rhs) > rel_tol * scale:
+        if abs(lhs - rhs) > _SPECIAL_REL_TOL * scale:
             return False
     return True
 
@@ -593,32 +595,37 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
     return sorted((z for z in zeros if abs(z) <= radius), key=lambda z: (abs(z), cmath.phase(z)))
 
 
-def extraneous_zeros(
-    family: tuple[int, int], radius: float, match_tol: float = 1e-6
-) -> list[complex]:
-    """Zeros found by the certified search that sit off the closed-form lattice.
+def lattice_zeros(
+    family: tuple[int, int], radius: float
+) -> tuple[list[tuple[int, int, complex, complex | None]], list[complex]]:
+    """Match the certified zeros in |z| <= radius against the closed-form lattice.
 
-    The lattice is generated out past the radius.  For j > 0 the search
-    returns the trivial zero at the origin as exactly 0j, which is not a
-    stray.
+    Runs find_zeros_in_disk once.  Returns (rows, strays): one row
+    (k, l, predicted, zero) per lattice point with |z_{k,l}| <= radius, in
+    family_zeros order, where zero is the certified zero within _MATCH_TOL
+    of it, or None; and the certified zeros that match no lattice point.
+    For j > 0 the search returns the trivial zero at the origin as exactly
+    0j, which is not a stray.  As the search counts exactly, every row
+    matched with no strays means that the disk holds the lattice points
+    and the origin's j zeros, and nothing else.  Choose a radius between
+    two rings: a zero on the circle may fall on either side of it.
     """
     N, j = family
-    lattice = []
-    k = 1
-    while True:
-        ring = [predicted_zero(family, k, l) for l in range(N)]
-        if min(abs(z) for z in ring) > radius + 1.0:
+    found = [z for z in find_zeros_in_disk(N, j, radius) if z != 0]  # H_{N,0}(0) = 1
+    rows = []
+    for k, ring in _rings(family):
+        inside = [(l, w) for l, w in enumerate(ring) if abs(w) <= radius]
+        if not inside:
             break
-        lattice.extend(ring)
-        k += 1
-    found = find_zeros_in_disk(N, j, radius)
-    stray = []
-    for z in found:
-        if j > 0 and z == 0:
-            continue
-        if all(abs(z - w) > match_tol for w in lattice):
-            stray.append(z)
-    return stray
+        for l, w in inside:
+            rows.append((k, l, w, next((z for z in found if abs(z - w) <= _MATCH_TOL), None)))
+    matched = {zero for *_, zero in rows}
+    return rows, [z for z in found if z not in matched]
+
+
+def extraneous_zeros(family: tuple[int, int], radius: float) -> list[complex]:
+    """Zeros found by the certified search that sit off the closed-form lattice."""
+    return lattice_zeros(family, radius)[1]
 
 
 def ratio_radius(params: SeqParams, n_max: int) -> float:

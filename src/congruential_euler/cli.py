@@ -24,12 +24,11 @@ from .analytic import (
     bernoulli_formula_value,
     check_special_values,
     eval_H,
-    family_zeros,
     formula_reference,
     formula_value,
-    locate_zero,
+    lattice_zeros,
+    predicted_zero,
     ratio_radius,
-    rounding_floor,
 )
 from .engine import (
     CacheFormatError,
@@ -230,26 +229,30 @@ def _cmd_identities(args: argparse.Namespace) -> int:
                 )
     elif target == "zeros":
         N, j = args.family
-        for k, l, predicted in family_zeros((N, j), args.count):
-            located = locate_zero(N, j, predicted)
-            residual = abs(eval_H(N, j, located))
-            distance = abs(located - predicted)
-            good = residual < max(1e-10, rounding_floor(N, located)) and distance < 1e-9
-            ok &= good
-            record = {
-                "family": f"{N},{j}",
-                "k": k,
-                "l": l,
-                "zero": [located.real, located.imag],
-                "residual": residual,
-                "distance_to_closed_form": distance,
-                "ok": good,
-            }
-            _emit(
-                args, record,
-                f"H_({N},{j}) zero k={k} l={l}: {located:.12g} residual={residual:.2e} "
-                f"off-lattice={distance:.2e}",
-            )
+        if args.count < 1:
+            raise ValueError("identities zeros: --count must be at least 1")
+        ring = -(-args.count // N)  # the ring of the count-th zero; search halfway to the next
+        radius = sum(abs(predicted_zero((N, j), k, 0)) for k in (ring, ring + 1)) / 2
+        rows, strays = lattice_zeros((N, j), radius)
+        for k, l, predicted, zero in rows[:args.count]:
+            record = {"family": f"{N},{j}", "k": k, "l": l, "ok": zero is not None,
+                      "zero": None, "residual": None, "distance_to_closed_form": None}
+            text = f"H_({N},{j}) zero k={k} l={l}: no certified zero at the closed form"
+            if zero is not None:
+                residual, distance = abs(eval_H(N, j, zero)), abs(zero - predicted)
+                record.update(zero=[zero.real, zero.imag], residual=residual,
+                              distance_to_closed_form=distance)
+                text = (f"H_({N},{j}) zero k={k} l={l}: {zero:.12g} residual={residual:.2e} "
+                        f"off-lattice={distance:.2e}")
+            _emit(args, record, text)
+        missing = [f"k={k} l={l}" for k, l, _, zero in rows if zero is None]
+        ok = not missing and not strays
+        if missing:
+            print(f"check failed: H_({N},{j}) has no certified zero at the lattice points "
+                  + ", ".join(missing), file=sys.stderr)
+        if strays:
+            print(f"check failed: H_({N},{j}) has certified zeros off the lattice: "
+                  + ", ".join(f"{z:.12g}" for z in strays), file=sys.stderr)
     elif target == "special-values":
         for k in range(1, args.k_max + 1):
             for l in range(6):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import lcm
 from typing import Iterable, Optional
 
@@ -93,20 +93,7 @@ class PeriodScanResult:
         return self.m * self.p
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "j": self.j,
-            "r": self.r,
-            "n_max": self.n_max,
-            "status": self.status,
-            "n0": self.n0,
-            "period_index": self.period_index,
-            "cycle": self.cycle,
-            "conjecture_period": self.conjecture_period,
-            "divides_conjecture": self.divides_conjecture,
-            "note": self.note,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -22,6 +22,7 @@ from congruential_euler.analytic import (
     find_zeros_in_disk,
     formula_value,
     lambda_even,
+    lattice_zeros,
     locate_zero,
     predicted_zero,
     ratio_radius,
@@ -256,6 +257,9 @@ class TestZeroSearch:
         rest = [z for z in found if z != 0]
         assert len(rest) == len(lattice)
         assert all(min(abs(z - w) for z in rest) < 1e-13 for w in lattice)
+        rows, strays = lattice_zeros(family, radius)
+        assert [w for _, _, w, _ in rows] == lattice and strays == []
+        assert all(zero is not None for *_, zero in rows)
 
     def test_cosh_and_sinh_on_the_imaginary_axis(self):
         radius = 5.25 * math.pi

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from congruential_euler import analytic
 from congruential_euler.cli import main
 from congruential_euler.engine import SeqParams, compute_table
 
@@ -313,15 +314,57 @@ class TestIdentities:
         assert code == 0
         assert all(json.loads(line)["equal"] for line in out.splitlines())
 
-    def test_zeros(self, capsys, tmp_path):
-        code, out, _ = run(
+    @pytest.mark.parametrize("fmt", ("text", "tsv", "json"))
+    @pytest.mark.parametrize("family", analytic.ZERO_FAMILIES, ids=lambda f: f"{f[0]},{f[1]}")
+    def test_zeros(self, capsys, tmp_path, family, fmt):
+        code, out, err = run(
+            capsys, "--format", fmt, "--cache-dir", str(tmp_path), "identities",
+            "zeros", "--family", f"{family[0]},{family[1]}", "--count", "3",
+        )
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 3
+        if fmt == "json":
+            rows = [json.loads(line) for line in lines]
+            assert all(row["ok"] and row["residual"] < 1e-10 for row in rows)
+        elif fmt == "tsv":  # columns in key order: distance, family, k, l, ok, residual, zero
+            assert all(line.split("\t")[4] == "True" for line in lines)
+        else:
+            assert all("residual=" in line for line in lines)
+
+    @pytest.mark.parametrize("count", ("0", "-3"))
+    def test_zeros_rejects_a_count_below_one(self, capsys, tmp_path, count):
+        code, out, err = run(
+            capsys, "--cache-dir", str(tmp_path), "identities", "zeros", "--family", "4,0",
+            "--count", count,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--count" in err
+
+    def test_zeros_fails_on_a_certified_zero_off_the_lattice(self, capsys, tmp_path, monkeypatch):
+        search = analytic.find_zeros_in_disk
+        monkeypatch.setattr(
+            analytic, "find_zeros_in_disk", lambda *args: search(*args) + [1.0 + 2.0j]
+        )
+        code, out, err = run(
             capsys, "--format", "json", "--cache-dir", str(tmp_path), "identities",
             "zeros", "--family", "4,0", "--count", "3",
         )
-        assert code == 0
+        assert code == 1
+        assert all(json.loads(line)["ok"] for line in out.splitlines())
+        assert "off the lattice" in err and "1+2j" in err
+
+    def test_zeros_without_a_match_are_not_ok(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(analytic, "find_zeros_in_disk", lambda *args: [])
+        code, out, err = run(
+            capsys, "--format", "json", "--cache-dir", str(tmp_path), "identities",
+            "zeros", "--family", "6,3", "--count", "2",
+        )
+        assert code == 1
+        assert "k=1 l=0, k=1 l=1, k=1 l=2" in err  # the rest of ring 1 is searched too
         rows = [json.loads(line) for line in out.splitlines()]
-        assert len(rows) == 3
-        assert all(row["residual"] < 1e-10 for row in rows)
+        assert [row["ok"] for row in rows] == [False, False]
+        assert all(row["zero"] is None and row["residual"] is None for row in rows)
 
     def test_zeros_past_modulus_18(self, capsys, tmp_path):
         code, out, _ = run(
