@@ -527,6 +527,8 @@ def _box_count(N: int, j: int, box: tuple[float, float, float, float]) -> int:
 _ROOT_MARGIN = 0.25  # the root box's half side exceeds the radius by this
 _ROOT_CENTRE = complex(0.0713, 0.0419)  # 0 strictly inside; split lines miss the axes, where zeros often lie
 _SPLIT_FRACTIONS = (0.5137, 0.4629)  # off-centre, the second used when the first meets a zero
+# the largest radius whose root box keeps its corners within the exp range of eval_H
+_SEARCH_REACH = (_EXP_LIMIT - abs(_ROOT_CENTRE)) / math.sqrt(2.0) - _ROOT_MARGIN
 
 
 def _split(
@@ -566,9 +568,9 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
     search box leaves the exp range of eval_H, and ArithmeticError if a
     zero sits on a box edge that no split can avoid.
     """
+    if not 0 <= radius <= _SEARCH_REACH:
+        raise ValueError(f"find_zeros_in_disk: need 0 <= radius <= {_SEARCH_REACH:.1f} (exp range)")
     half = radius + _ROOT_MARGIN
-    if not radius >= 0 or abs(_ROOT_CENTRE) + math.sqrt(2.0) * half > _EXP_LIMIT:
-        raise ValueError("find_zeros_in_disk: need radius >= 0 with the search box in exp range")
     root = (
         _ROOT_CENTRE.real - half, _ROOT_CENTRE.real + half,
         _ROOT_CENTRE.imag - half, _ROOT_CENTRE.imag + half,

@@ -17,6 +17,7 @@ from typing import Optional
 
 from . import congruences
 from .analytic import (
+    _SEARCH_REACH,
     BERNOULLI_DISPLAYS,
     BernoulliFormulaId,
     ZetaFormulaId,
@@ -31,6 +32,7 @@ from .analytic import (
     ratio_radius,
 )
 from .engine import (
+    _any_digits,
     CacheFormatError,
     SeqParams,
     cache_header,
@@ -58,12 +60,10 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _parse_pairs(texts: list[str]) -> list[tuple[int, int]]:
-    pairs = []
-    for text in texts:
-        a, b = text.split(",", 1)
-        pairs.append((int(a), int(b)))
-    return pairs
+def _family(text: str) -> tuple[int, int]:
+    """Parse 'a,b' into two ints: a --family (argparse's errors name it) or one --pairs entry."""
+    a, b = text.split(",", 1)
+    return int(a), int(b)
 
 
 def _cache_path(args: argparse.Namespace, params: SeqParams) -> Path:
@@ -116,23 +116,7 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    theorem = args.theorem
-    if theorem == "main":
-        report = congruences.check_main_theorem(args.p, args.j, args.r, _parse_range(args.n))
-    elif theorem == "komatsu-liu":
-        report = congruences.check_komatsu_liu(args.k, _parse_pairs(args.pairs))
-    elif theorem == "gessel":
-        report = congruences.check_gessel(args.p, args.m, args.k, _parse_range(args.n))
-    elif theorem == "prime-power":
-        report = congruences.check_prime_power(args.p, args.k, args.r, _parse_range(args.n))
-    elif theorem == "special-40":
-        report = congruences.check_special_40(args.r, _parse_range(args.n))
-    elif theorem == "special-60":
-        _, report = congruences.check_special_60(args.r, args.n_max)
-    elif theorem == "lemma-xm":
-        report = congruences.verify_lemma_Xm(args.p, args.m, args.order)
-    else:  # lemma-series
-        report = congruences.verify_lemma_series(args.n_max)
+    report = args.check(args)  # each theorem's parser sets its check
     tsv = (
         f"{report.theorem_id}\t{report.param_summary}\t{report.instances_checked}\t"
         f"{report.status}\t{json.dumps(report.failures, sort_keys=True)}"
@@ -147,31 +131,34 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_scan(args: argparse.Namespace) -> int:
     if args.appendix_b:
         outcomes = run_reference_scan(progress=True)
-        results = [outcome.result for outcome in outcomes]
-        print(emit_table(results, args.format))
-        return 0 if all(o.matches for o in outcomes) else 1
-    if args.grid is not None:
-        spec = json.loads(Path(args.grid).read_text())
-        results = [scan_conjecture(*row) for row in _grid_rows(spec)]
-        print(emit_table(results, args.format))
-        return 0 if all(r.status == "ok" for r in results) else 1
-    if args.p is None or args.m is None or args.j is None or args.r is None:
-        raise ValueError("scan: provide --p --m --j --r, or --appendix-b, or --grid")
-    result = scan_conjecture(args.p, args.m, args.j, args.r, args.n_max)
-    print(emit_table([result], args.format))
-    return 0 if result.status == "ok" else 1
+        results, ok = [o.result for o in outcomes], all(o.matches for o in outcomes)
+    else:
+        if args.grid is not None:
+            spec = json.loads(Path(args.grid).read_text())
+            results = [scan_conjecture(*row) for row in _grid_rows(spec)]
+        elif None in (args.p, args.m, args.j, args.r):
+            raise ValueError("scan: provide --p --m --j --r, or --appendix-b, or --grid")
+        else:
+            results = [scan_conjecture(args.p, args.m, args.j, args.r, args.n_max)]
+        ok = all(r.status == "ok" for r in results)
+    print(emit_table(results, args.format))
+    return 0 if ok else 1
 
 
 def _grid_rows(spec) -> list[tuple]:
     """Check a parsed grid file and return its rows as (p, m, j, r, n_max)."""
     if not isinstance(spec, list):
         raise ValueError("grid: expected a JSON list of scans")
+    keys = ("p", "m", "j", "r", "n_max")
     rows = []
     for index, row in enumerate(spec):
         if not isinstance(row, dict):
             raise ValueError(f"grid row {index}: expected an object with keys p, m, j, r")
+        unknown = [key for key in row if key not in keys]
+        if unknown:
+            raise ValueError(f"grid row {index}: unknown key {unknown[0]!r}")
         scan = []
-        for key in ("p", "m", "j", "r", "n_max"):
+        for key in keys:
             if key not in row and key != "n_max":
                 raise ValueError(f"grid row {index}: missing key {key!r}")
             value = row.get(key)
@@ -233,6 +220,9 @@ def _cmd_identities(args: argparse.Namespace) -> int:
             raise ValueError("identities zeros: --count must be at least 1")
         ring = -(-args.count // N)  # the ring of the count-th zero; search halfway to the next
         radius = sum(abs(predicted_zero((N, j), k, 0)) for k in (ring, ring + 1)) / 2
+        if radius > _SEARCH_REACH:
+            raise ValueError(f"identities zeros: --count {args.count} needs the certified search "
+                             f"out to |z| = {radius:.1f}, past its reach of {_SEARCH_REACH:.1f}")
         rows, strays = lattice_zeros((N, j), radius)
         for k, l, predicted, zero in rows[:args.count]:
             record = {"family": f"{N},{j}", "k": k, "l": l, "ok": zero is not None,
@@ -271,7 +261,6 @@ def _cmd_identities(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    args.cache_dir.mkdir(parents=True, exist_ok=True)
     files = sorted(args.cache_dir.glob("euler_N*_j*.txt"))
     if args.action == "inspect":
         bad = 0
@@ -299,11 +288,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _family(text: str) -> tuple[int, int]:
-    N, j = text.split(",", 1)
-    return int(N), int(j)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ceuler",
@@ -324,39 +308,50 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.set_defaults(handler=_cmd_compute)
 
     p_verify = sub.add_parser("verify", help="check one congruence family over a range")
+    p_verify.set_defaults(handler=_cmd_verify)
     v_sub = p_verify.add_subparsers(dest="theorem", required=True)
     v_main = v_sub.add_parser("main")
+    v_main.set_defaults(check=lambda a: congruences.check_main_theorem(
+        a.p, a.j, a.r, _parse_range(a.n)))
     v_main.add_argument("--p", type=int, required=True)
     v_main.add_argument("--j", type=int, required=True)
     v_main.add_argument("--r", type=int, required=True)
     v_main.add_argument("--n", default="0..20")
     v_kl = v_sub.add_parser("komatsu-liu")
+    v_kl.set_defaults(check=lambda a: congruences.check_komatsu_liu(
+        a.k, [_family(text) for text in a.pairs]))
     v_kl.add_argument("--k", type=int, required=True)
     v_kl.add_argument("--pairs", nargs="+", required=True, metavar="N,M")
     v_gessel = v_sub.add_parser("gessel")
+    v_gessel.set_defaults(check=lambda a: congruences.check_gessel(
+        a.p, a.m, a.k, _parse_range(a.n)))
     v_gessel.add_argument("--p", type=int, required=True)
     v_gessel.add_argument("--m", type=int, required=True)
     v_gessel.add_argument("--k", type=int, required=True)
     v_gessel.add_argument("--n", default="0..10")
     v_pp = v_sub.add_parser("prime-power")
+    v_pp.set_defaults(check=lambda a: congruences.check_prime_power(
+        a.p, a.k, a.r, _parse_range(a.n)))
     v_pp.add_argument("--p", type=int, required=True)
     v_pp.add_argument("--k", type=int, required=True)
     v_pp.add_argument("--r", type=int, required=True)
     v_pp.add_argument("--n", default="0..10")
     v_s40 = v_sub.add_parser("special-40")
+    v_s40.set_defaults(check=lambda a: congruences.check_special_40(a.r, _parse_range(a.n)))
     v_s40.add_argument("--r", type=int, required=True)
     v_s40.add_argument("--n", default="0..10")
     v_s60 = v_sub.add_parser("special-60")
+    v_s60.set_defaults(check=lambda a: congruences.check_special_60(a.r, a.n_max)[1])
     v_s60.add_argument("--r", type=int, required=True)
     v_s60.add_argument("--n-max", type=int, default=30)
     v_xm = v_sub.add_parser("lemma-xm")
+    v_xm.set_defaults(check=lambda a: congruences.verify_lemma_Xm(a.p, a.m, a.order))
     v_xm.add_argument("--p", type=int, required=True)
     v_xm.add_argument("--m", type=int, required=True)
     v_xm.add_argument("--order", type=int, default=60)
     v_ls = v_sub.add_parser("lemma-series")
+    v_ls.set_defaults(check=lambda a: congruences.verify_lemma_series(a.n_max))
     v_ls.add_argument("--n-max", type=int, default=10)
-    for v_parser in (v_main, v_kl, v_gessel, v_pp, v_s40, v_s60, v_xm, v_ls):
-        v_parser.set_defaults(handler=_cmd_verify)
 
     p_scan = sub.add_parser("scan", help="empirical residue-period scan")
     p_scan.add_argument("--p", type=int)
@@ -372,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.set_defaults(handler=_cmd_scan)
 
     p_ident = sub.add_parser("identities", help="zeta/Bernoulli identities and zero geometry")
+    p_ident.set_defaults(handler=_cmd_identities)
     i_sub = p_ident.add_subparsers(dest="target", required=True)
     i_zeta = i_sub.add_parser("zeta")
     i_zeta.add_argument("--n-max", type=int, default=6)
@@ -386,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     i_radius.add_argument("--N", type=int, required=True)
     i_radius.add_argument("--j", type=int, required=True)
     i_radius.add_argument("--n-max", type=int, default=40)
-    for i_parser in (i_zeta, i_bern, i_zeros, i_special, i_radius):
-        i_parser.set_defaults(handler=_cmd_identities)
 
     p_cache = sub.add_parser("cache", help="inspect or clear the disk cache")
     p_cache.add_argument("action", choices=("inspect", "clear"))
@@ -395,11 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@_any_digits()
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)  # table entries outgrow the default 4300-digit limit
     try:
         return args.handler(args)
     except (ValueError, OSError) as exc:

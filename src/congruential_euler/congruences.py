@@ -329,27 +329,14 @@ def verify_lemma_Xm(p: int, m: int, order: int) -> CongruenceReport:
     inv = series_invert(H)
     T = series_multiply(exp_section(step, p, build_order), inv)
 
-    d_series = series_multiply(H, series_derivative(inv, shift))
-    sign = (-1) ** shift
-    if sign == -1:
-        d_series = -d_series
+    d_series = (-1) ** shift * series_multiply(H, series_derivative(inv, shift))
+    x_series = ((-1) ** m if p == 3 else 1) * (1 - d_series)
+    exponent = 1 + vp(m, p)
     if p == 2:
-        x_series = 1 - d_series
-        if m % 2 == 1:
-            rhs = 1 + T
-        else:
-            rhs = (2 ** vp(m, 2)) * (1 + series_multiply(T, T))
-        exponent = 1 + vp(m, 2)
+        rhs = 1 + T if m % 2 == 1 else 2 ** vp(m, 2) * (1 + series_multiply(T, T))
     else:
-        x_series = 1 - d_series
-        if m % 2 == 1:
-            x_series = -x_series
         common = series_multiply(T - 1, series_invert(1 + 3 * series_multiply(T, T)))
-        if m % 2 == 1:
-            rhs = series_multiply(1 - 3 * T, common)
-        else:
-            rhs = series_multiply(1 + T, common)
-        exponent = 1 + vp(m, 3)
+        rhs = series_multiply(1 - 3 * T if m % 2 == 1 else 1 + T, common)
 
     checked, failures = _series_residue_failures(
         x_series, rhs, p, exponent, f"p={p} m={m}", order

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import os
 import re
-import threading
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -78,25 +79,25 @@ class SeqTable:
         return len(self.values) - 1
 
 
-# Append-only memo, one list per (N, j).  The recurrence is strictly
-# lower-triangular, so entries never change once computed; one lock is held
-# across look-up and extension, so callers on several threads may share it.
+# Append-only memo, one list per (N, j), unlocked: the package starts no
+# threads.  The recurrence is strictly lower-triangular, so entries never change.
 _TABLES: dict[SeqParams, list[Fraction]] = {}
-_LOCK = threading.Lock()
+
+
+def _memo(params: SeqParams) -> list[Fraction]:
+    """The memo's list for ``params``, started from E_0 = j! if absent."""
+    return _TABLES.setdefault(params, [Fraction(factorial(params.j))])
 
 
 def _extend(params: SeqParams, n_max: int) -> list[Fraction]:
     N, j = params.N, params.j
-    with _LOCK:
-        values = _TABLES.get(params)
-        if values is None:
-            values = _TABLES[params] = [Fraction(factorial(j))]
-        for n in range(len(values), n_max + 1):
-            *weights, divisor = binomial_row(N * n + j, range(0, N * n + 1, N))
-            acc = Fraction(0)
-            for weight, value in zip(weights, values):
-                acc += weight * value
-            values.append(-acc / divisor)
+    values = _memo(params)
+    for n in range(len(values), n_max + 1):
+        *weights, divisor = binomial_row(N * n + j, range(0, N * n + 1, N))
+        acc = Fraction(0)
+        for weight, value in zip(weights, values):
+            acc += weight * value
+        values.append(-acc / divisor)
     return values
 
 
@@ -106,9 +107,8 @@ def seed_memo(table: SeqTable) -> None:
     :func:`compute_table` then extends only past them.  Entries the memo
     already holds stay as they are; an absent memo starts from E_0 = j!.
     """
-    with _LOCK:
-        values = _TABLES.setdefault(table.params, [Fraction(factorial(table.params.j))])
-        values += table.values[len(values):]
+    values = _memo(table.params)
+    values += table.values[len(values):]
 
 
 def euler_number(params: SeqParams, n: int) -> Fraction:
@@ -221,11 +221,26 @@ class CacheFormatError(ValueError):
     """Raised when a cache file is malformed; the message names the line."""
 
 
+@contextmanager
+def _any_digits():
+    """Lift Python's int/str digit limit, which table entries outgrow, and restore it after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def cache_header(params: SeqParams) -> str:
     """First line of the cache file for ``params``."""
     return f"{CACHE_HEADER_VERSION} N={params.N} j={params.j}"
 
 
+@_any_digits()
 def cache_store(table: SeqTable, path: Union[str, Path]) -> None:
     """Write a table as decimal text, one `<n> <num>/<den>` entry per line.
 
@@ -239,9 +254,9 @@ def cache_store(table: SeqTable, path: Union[str, Path]) -> None:
     lines = [cache_header(table.params)]
     for n, value in enumerate(table.values):
         lines.append(f"{n} {value.numerator}/{value.denominator}")
-    # one writer per process and thread owns this name; the file gets the
-    # usual permissions, which mkstemp's private mode would not give
-    temp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    # one writer per process owns this name; the file gets the usual
+    # permissions, which mkstemp's private mode would not give
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(temp, "w", encoding="ascii") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -255,11 +270,13 @@ _HEADER_RE = re.compile(rf"^{re.escape(CACHE_HEADER_VERSION)} N=(\d+) j=(\d+)$")
 _ENTRY_RE = re.compile(r"^(\d+) (-?\d+)/(\d+)$")
 
 
+@_any_digits()
 def cache_load(params: SeqParams, path: Union[str, Path]) -> SeqTable:
     """Load a table back and check it, raising CacheFormatError on a bad file.
 
     The file must have the header for ``params`` and entries ``<n> <a>/<b>``
-    for n = 0, 1, 2, ... in order, each fraction reduced with b > 0.  Then
+    for n = 0, 1, 2, ... on consecutive lines, so entry n is on line n + 2,
+    each fraction reduced with b > 0; a blank line is a bad entry.  Then
     every entry is checked against the recurrence mod the prime
     q = CACHE_CHECK_PRIME = 2^31 - 1: with rho_n = ``residue_table(params,
     q, 1, n_max)[n]``, entry n is accepted only if a = rho_n * b (mod q).
@@ -295,10 +312,7 @@ def cache_load(params: SeqParams, path: Union[str, Path]) -> SeqTable:
             f"requested N={params.N} j={params.j}"
         )
     values: list[Fraction] = []
-    linenos: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
         entry = _ENTRY_RE.match(line)
         if entry is None:
             raise CacheFormatError(f"{path}: line {lineno}: bad entry {line!r}")
@@ -313,16 +327,15 @@ def cache_load(params: SeqParams, path: Union[str, Path]) -> SeqTable:
         if (value.numerator, value.denominator) != (num, den):
             raise CacheFormatError(f"{path}: line {lineno}: fraction {line!r} not reduced")
         values.append(value)
-        linenos.append(lineno)
     if not values:
         raise CacheFormatError(f"{path}: line 2: no entries")
     q = CACHE_CHECK_PRIME
     if params.N * (len(values) - 1) + params.j >= q:
-        raise CacheFormatError(f"{path}: line {linenos[-1]}: too many entries to check mod {q}")
+        raise CacheFormatError(f"{path}: line {len(values) + 1}: too many entries to check mod {q}")
     residues = residue_table(params, q, 1, len(values) - 1)
-    for n, (value, residue, lineno) in enumerate(zip(values, residues, linenos)):
+    for n, (value, residue) in enumerate(zip(values, residues)):
         if (value.numerator - residue * value.denominator) % q:
             raise CacheFormatError(
-                f"{path}: line {lineno}: entry {n} disagrees with the recurrence mod {q}"
+                f"{path}: line {n + 2}: entry {n} disagrees with the recurrence mod {q}"
             )
     return SeqTable(params, values)

@@ -204,37 +204,35 @@ def exp_section(step: int, offset: int, order: int) -> EgfSeries:
     return EgfSeries(tuple(coeffs))
 
 
+def _convolve(n: int, support: list[int], partner: list[bool], ca, cb) -> Fraction:
+    """sum of C(n, m) ca[m] cb[n - m] over m in ``support`` with m <= n and partner[n - m]."""
+    ms = [m for m in support[: bisect_right(support, n)] if partner[n - m]]
+    acc = Fraction(0)
+    for m, weight in zip(ms, binomial_row(n, ms)):
+        acc += weight * ca[m] * cb[n - m]
+    return acc
+
+
 def series_multiply(a: EgfSeries, b: EgfSeries) -> EgfSeries:
     """EGF product: c_n = sum_m C(n, m) a_m b_{n-m}, truncated to min order."""
     order = min(a.order, b.order)
     ca, cb = a.coeffs, b.coeffs
     support = [m for m in range(order + 1) if ca[m]]
     partner = [bool(c) for c in cb[: order + 1]]
-    out = []
-    for n in range(order + 1):
-        ms = [m for m in support[: bisect_right(support, n)] if partner[n - m]]
-        acc = Fraction(0)
-        for m, weight in zip(ms, binomial_row(n, ms)):
-            acc += weight * ca[m] * cb[n - m]
-        out.append(acc)
-    return EgfSeries(tuple(out))
+    return EgfSeries(tuple(_convolve(n, support, partner, ca, cb) for n in range(order + 1)))
 
 
 def series_invert(a: EgfSeries) -> EgfSeries:
     """Multiplicative inverse to truncation order; requires a_0 != 0."""
-    if a.coeffs[0] == 0:
-        raise ValueError("non-invertible series")
-    inv0 = 1 / a.coeffs[0]
-    out = [inv0]
     ca = a.coeffs
+    if ca[0] == 0:
+        raise ValueError("non-invertible series")
+    inv0 = 1 / ca[0]
+    out = [inv0]
     support = [m for m in range(1, a.order + 1) if ca[m]]
     partner = [True]  # partner[i]: out[i] != 0
     for n in range(1, a.order + 1):
-        ms = [m for m in support[: bisect_right(support, n)] if partner[n - m]]
-        acc = Fraction(0)
-        for m, weight in zip(ms, binomial_row(n, ms)):
-            acc += weight * ca[m] * out[n - m]
-        out.append(-inv0 * acc)
+        out.append(-inv0 * _convolve(n, support, partner, ca, out))
         partner.append(bool(out[n]))
     return EgfSeries(tuple(out))
 

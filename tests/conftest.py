@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import sys
+
 import pytest
 
 from congruential_euler import engine
@@ -23,6 +25,17 @@ def forget_tables():
     yield forget
     for key in dropped:
         engine._TABLES.pop(key, None)
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Run with Python's default int/str digit limit, restoring the old one after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
 import json
-import sys
 
 import pytest
 
@@ -14,17 +13,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture
-def default_digit_limit():
-    """Run with Python's default int/str digit limit, restoring the old one after."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int/str digit limit")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
 
 
 class TestCompute:
@@ -284,6 +272,7 @@ class TestScan:
         ([{"p": 3, "m": 2, "j": 1, "r": 1}, {"p": 3, "m": 2, "j": 1}], "grid row 1: missing key 'r'"),
         ([{"p": 3, "m": 2, "j": 1, "r": 1}, [3, 2, 1, 1]], "grid row 1: expected an object"),
         ([{"p": 3, "m": 2, "j": 1, "r": "1"}], "grid row 0: key 'r' must be an integer"),
+        ([{"p": 3, "m": 2, "j": 3, "r": 2, "nmax": 12}], "grid row 0: unknown key 'nmax'"),
     ])
     def test_malformed_grid_row_exit_2(self, capsys, tmp_path, spec, message):
         grid = tmp_path / "grid.json"
@@ -341,6 +330,16 @@ class TestIdentities:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "--count" in err
 
+    def test_zeros_past_the_search_reach_exit_2_naming_the_count(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(analytic, "find_zeros_in_disk", None)  # no search may run
+        code, out, err = run(
+            capsys, "--cache-dir", str(tmp_path), "identities", "zeros", "--family", "4,2",
+            "--count", "441",
+        )
+        assert code == 2 and out == ""
+        assert err == ("error: identities zeros: --count 441 needs the certified search "
+                       "out to |z| = 495.4, past its reach of 494.7\n")
+
     def test_zeros_fails_on_a_certified_zero_off_the_lattice(self, capsys, tmp_path, monkeypatch):
         search = analytic.find_zeros_in_disk
         monkeypatch.setattr(
@@ -394,6 +393,13 @@ class TestIdentities:
 
 
 class TestCache:
+    @pytest.mark.parametrize("action", ("inspect", "clear"))
+    def test_a_missing_directory_is_not_created(self, capsys, tmp_path, action):
+        missing = tmp_path / "missing"
+        code, out, _ = run(capsys, "--cache-dir", str(missing), "cache", action)
+        assert (code, out) == (0, "")
+        assert not missing.exists()
+
     def test_inspect_and_clear(self, capsys, tmp_path):
         run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", "2", "--j", "0",
             "--n-max", "3")

@@ -1,6 +1,7 @@
 """Tests for the table engine, its series oracle, and the disk cache."""
 
 import resource
+import sys
 from fractions import Fraction
 
 import pytest
@@ -204,6 +205,23 @@ class TestCache:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(CacheFormatError, match="line 3"):
             cache_load(SeqParams(2, 0), path)
+
+    def test_blank_line_between_entries_rejected(self, tmp_path):
+        path = tmp_path / "euler.txt"
+        cache_store(compute_table(SeqParams(2, 0), 3), path)
+        text = path.read_text().splitlines()
+        text.insert(3, "")
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(CacheFormatError, match="line 4: bad entry ''"):
+            cache_load(SeqParams(2, 0), path)
+
+    def test_round_trip_beyond_the_int_str_digit_limit(self, tmp_path, default_digit_limit):
+        table = compute_table(SeqParams(42, 9), 70)
+        assert abs(table.values[-1].numerator) > 10**4300
+        path = tmp_path / "euler.txt"
+        cache_store(table, path)
+        assert cache_load(SeqParams(42, 9), path).values == table.values
+        assert sys.get_int_max_str_digits() == 4300
 
     def test_unreduced_fraction_rejected(self, tmp_path):
         path = tmp_path / "euler.txt"
