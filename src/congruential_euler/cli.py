@@ -61,9 +61,12 @@ def _parse_range(text: str) -> range:
 
 
 def _family(text: str) -> tuple[int, int]:
-    """Parse 'a,b' into two ints: a --family (argparse's errors name it) or one --pairs entry."""
-    a, b = text.split(",", 1)
-    return int(a), int(b)
+    """Parse 'a,b' into two ints, the argparse type of --family and of each --pairs entry."""
+    a, _, b = text.partition(",")
+    try:
+        return int(a), int(b)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected two integers a,b, got {text!r}") from None
 
 
 def _cache_path(args: argparse.Namespace, params: SeqParams) -> Path:
@@ -319,9 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     v_main.add_argument("--n", default="0..20")
     v_kl = v_sub.add_parser("komatsu-liu")
     v_kl.set_defaults(check=lambda a: congruences.check_komatsu_liu(
-        a.k, [_family(text) for text in a.pairs]))
+        a.k, a.pairs))
     v_kl.add_argument("--k", type=int, required=True)
-    v_kl.add_argument("--pairs", nargs="+", required=True, metavar="N,M")
+    v_kl.add_argument("--pairs", type=_family, nargs="+", required=True, metavar="N,M")
     v_gessel = v_sub.add_parser("gessel")
     v_gessel.set_defaults(check=lambda a: congruences.check_gessel(
         a.p, a.m, a.k, _parse_range(a.n)))

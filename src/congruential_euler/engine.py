@@ -10,8 +10,13 @@ Tables are filled by the lower-triangular recurrence
 and can be cross-checked against an independent series-inversion oracle.
 The binomials of row n, C(Nn+j, Nm) for m = 0..n, are stepped along the
 row by :func:`exact.binomial_row`; the last of them, C(Nn+j, Nn) =
-C(Nn+j, j), is the divisor.  The oracle stays an independent route: its
-series inverse weighs terms by C(n, m), not by C(Nn+j, Nm).
+C(Nn+j, j), is the divisor.  The recurrence sums in integers: it keeps
+every entry times one common denominator, grows that denominator only
+when a division needs it, and reduces each new entry once, when it goes
+into the memo (see :func:`_extend`).  For j = 0 the divisor is 1 and the
+loop never leaves the integers.  The oracle stays an independent route:
+its series inverse weighs terms by C(n, m), not by C(Nn+j, Nm), and
+reduces each coefficient by its own arithmetic.
 :func:`residue_table` runs the same recurrence in Z/p^R and returns the
 values mod p^r without building the exact rationals.
 """
@@ -24,7 +29,8 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
+from operator import mul
 from pathlib import Path
 from typing import Union
 
@@ -90,14 +96,42 @@ def _memo(params: SeqParams) -> list[Fraction]:
 
 
 def _extend(params: SeqParams, n_max: int) -> list[Fraction]:
+    """The memo's list for ``params``, extended by the recurrence to n_max if shorter.
+
+    The loop works on integers ``scaled[m] = scale * E_m``, where ``scale``
+    starts as the lcm of the memo's denominators.  Row n takes
+
+        total = -sum_{m<n} C(Nn+j, Nm) * scaled[m] = scale * E_n * d,
+
+    with d = C(Nn+j, j) the divisor, g = gcd(total, d) and grow = d // g.
+    If grow > 1, ``scale`` and every ``scaled[m]`` are multiplied by grow,
+    and the new entry is ``scaled[n] = total // g``.
+
+    Exactness.  g divides total, so d divides total * grow = (total / g) * d
+    and total // g = total * grow / d = scale * grow * E_n with no
+    remainder.  After the rescaling, scaled[m] = scale * E_m holds for
+    every m <= n, by induction on n.  For j = 0, d = 1, so grow is always
+    1 and the loop is pure integers.  Each new entry is reduced once, as
+    ``Fraction(scaled[n], scale)``, when it goes into the memo, so the memo
+    holds the same reduced values as a term-by-term ``Fraction`` sum.
+    """
     N, j = params.N, params.j
     values = _memo(params)
-    for n in range(len(values), n_max + 1):
+    start = len(values)
+    if start > n_max:
+        return values
+    scale = lcm(*(value.denominator for value in values))
+    scaled = [value.numerator * (scale // value.denominator) for value in values]
+    for n in range(start, n_max + 1):
         *weights, divisor = binomial_row(N * n + j, range(0, N * n + 1, N))
-        acc = Fraction(0)
-        for weight, value in zip(weights, values):
-            acc += weight * value
-        values.append(-acc / divisor)
+        total = -sum(map(mul, weights, scaled))
+        g = gcd(total, divisor)
+        grow = divisor // g
+        if grow > 1:
+            scale *= grow
+            scaled = [u * grow for u in scaled]
+        scaled.append(total // g)
+    values += [Fraction(u, scale) for u in scaled[start:]]
     return values
 
 

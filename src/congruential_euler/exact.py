@@ -18,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import perm
+from math import lcm, perm
 from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -38,19 +38,41 @@ __all__ = [
 ]
 
 
+# Miller-Rabin to the first 13 prime bases is exact below psi_13, the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86,
+# 2017).  The first 12 bases alone are fooled by
+# psi_12 = 318665857834031151167461.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981  # psi_13, about 3.3e24
+
+
 def is_prime(p: int) -> bool:
-    """Deterministic trial-division primality test (moduli here are tiny)."""
+    """Deterministic Miller-Rabin test; exact for p below about 3.3e24.
+
+    Raises ValueError for p >= _PRIME_LIMIT, where these bases no longer
+    decide primality.
+    """
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    if p >= _PRIME_LIMIT:
+        raise ValueError(f"is_prime: {p} is beyond the deterministic bound {_PRIME_LIMIT}")
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -205,12 +227,23 @@ def exp_section(step: int, offset: int, order: int) -> EgfSeries:
 
 
 def _convolve(n: int, support: list[int], partner: list[bool], ca, cb) -> Fraction:
-    """sum of C(n, m) ca[m] cb[n - m] over m in ``support`` with m <= n and partner[n - m]."""
+    """sum of C(n, m) ca[m] cb[n - m] over m in ``support`` with m <= n and partner[n - m].
+
+    The sum is reduced once: each term is an integer over the lcm D of the
+    terms' denominators den(ca[m]) * den(cb[n - m]), the integers are
+    added, and one ``Fraction`` is built from the total and D.  In a term
+    the small factors (the binomial, ca[m]'s numerator, D's cofactor) are
+    multiplied before the numerator of cb[n - m], the big one in the
+    series inverse.
+    """
     ms = [m for m in support[: bisect_right(support, n)] if partner[n - m]]
-    acc = Fraction(0)
-    for m, weight in zip(ms, binomial_row(n, ms)):
-        acc += weight * ca[m] * cb[n - m]
-    return acc
+    dens = [ca[m].denominator * cb[n - m].denominator for m in ms]
+    common = lcm(*dens)
+    total = sum(
+        weight * ca[m].numerator * (common // den) * cb[n - m].numerator
+        for m, weight, den in zip(ms, binomial_row(n, ms), dens)
+    )
+    return Fraction(total, common)
 
 
 def series_multiply(a: EgfSeries, b: EgfSeries) -> EgfSeries:

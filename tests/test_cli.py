@@ -206,6 +206,14 @@ class TestVerify:
         )
         assert code == 0
 
+    def test_komatsu_liu_bad_pair_exit_2_naming_the_option(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--cache-dir", str(tmp_path), "verify", "komatsu-liu", "--k", "1",
+                  "--pairs", "0,6", "3"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --pairs: expected two integers a,b, got '3'" in err
+
     def test_lemma_xm(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "--cache-dir", str(tmp_path), "verify", "lemma-xm", "--p", "3",
@@ -320,6 +328,14 @@ class TestIdentities:
             assert all(line.split("\t")[4] == "True" for line in lines)
         else:
             assert all("residual=" in line for line in lines)
+
+    def test_zeros_bad_family_shows_the_expected_form(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--cache-dir", str(tmp_path), "identities", "zeros", "--family", "x"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --family: expected two integers a,b, got 'x'" in err
+        assert "_family" not in err
 
     @pytest.mark.parametrize("count", ("0", "-3"))
     def test_zeros_rejects_a_count_below_one(self, capsys, tmp_path, count):

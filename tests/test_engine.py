@@ -3,9 +3,10 @@
 import resource
 import sys
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from congruential_euler import engine
@@ -43,8 +44,6 @@ class TestRecurrence:
         assert euler_number(SeqParams(1, 1), 2) == Fraction(1, 6)
 
     def test_recurrence_invariant(self):
-        from math import comb
-
         for params in (SeqParams(4, 2), SeqParams(5, 3)):
             table = compute_table(params, 8)
             N, j = params.N, params.j
@@ -66,6 +65,47 @@ class TestRecurrence:
             SeqParams(2, -1)
         with pytest.raises(ValueError):
             euler_number(SeqParams(2, 0), -1)
+
+
+def plain_recurrence(N: int, j: int, n_max: int) -> list[Fraction]:
+    """Reference: the recurrence with one reduced Fraction operation per term."""
+    values = [Fraction(factorial(j))]
+    for n in range(1, n_max + 1):
+        total = sum((comb(N * n + j, N * m) * values[m] for m in range(n)), Fraction(0))
+        values.append(-total / comb(N * n + j, N * n))
+    return values
+
+
+class TestScaledRecurrence:
+    @settings(max_examples=120, deadline=None)
+    @given(N=st.integers(1, 8), j=st.integers(0, 12), n_max=st.integers(0, 25),
+           first=st.integers(0, 25))
+    @example(N=1, j=1, n_max=25, first=0)
+    @example(N=3, j=7, n_max=25, first=9)
+    def test_matches_plain_fraction_recurrence(self, N, j, n_max, first):
+        params = SeqParams(N, j)
+        engine._TABLES.pop(params, None)
+        try:
+            compute_table(params, min(first, n_max))  # then extend a memo prefix
+            assert compute_table(params, n_max).values == plain_recurrence(N, j, n_max)
+        finally:
+            engine._TABLES.pop(params, None)
+
+    @pytest.mark.parametrize("N,j", [(1, 1), (4, 2), (5, 0), (6, 3), (3, 5)])
+    def test_extending_in_steps_equals_one_shot(self, forget_tables, N, j):
+        params = SeqParams(N, j)
+        forget_tables(params)
+        for n_max in (5, 17, 40):
+            stepped = compute_table(params, n_max).values
+        forget_tables(params)
+        assert stepped == compute_table(params, 40).values
+
+    def test_extending_a_seeded_rational_prefix_equals_the_oracle(self, forget_tables, count_rows):
+        params = SeqParams(4, 2)
+        forget_tables(params)
+        seed_memo(oracle_table(params, 10))
+        assert compute_table(params, 40).values == oracle_table(params, 40).values
+        assert count_rows == [4 * n + 2 for n in range(11, 41)]
 
 
 ORACLE_PARAMS = [
@@ -147,8 +187,6 @@ class TestIntegrality:
 
 def test_euler_bernoulli_bridge():
     # E_{2n} = sum_{k=1}^{n} C(2n, 2k-1) (2^{2k} - 4^{2k})/(2k) B_{2k} + 1
-    from math import comb
-
     euler = compute_table(SeqParams(2, 0), 8).values
     bernoulli = compute_table(SeqParams(1, 1), 16).values
     for n in range(1, 9):

@@ -1,6 +1,7 @@
 """Tests for the exact arithmetic substrate."""
 
 from fractions import Fraction
+from itertools import takewhile
 from math import comb
 
 import pytest
@@ -30,6 +31,27 @@ class TestPrimality:
 
     def test_square_of_prime(self):
         assert not is_prime(49)
+
+    def test_matches_trial_division_below_1e5(self):
+        primes = []
+        for n in range(2, 10**5):
+            if all(n % d for d in takewhile(lambda d: d * d <= n, primes)):
+                primes.append(n)
+        assert [n for n in range(10**5) if is_prime(n)] == primes
+
+    @pytest.mark.parametrize("n,prime", [
+        (561, False),  # Carmichael number
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5 and 7
+        (318665857834031151167461, False),  # strong pseudoprime to bases 2..37
+        (2**31 - 1, True),
+        (2**61 - 1, True),
+    ])
+    def test_hard_cases(self, n, prime):
+        assert is_prime(n) is prime
+
+    def test_rejects_beyond_the_bound(self):
+        with pytest.raises(ValueError, match="deterministic bound"):
+            is_prime(3317044064679887385961981)
 
 
 @st.composite
@@ -254,6 +276,14 @@ def sparse_coeffs(draw, constant_term: bool = False):
 
 sections = st.tuples(st.integers(1, 20), st.integers(0, 25))
 
+# zeros, integers and big numerators over unrelated denominators, so that the
+# terms of one coefficient rarely share a denominator
+mixed_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-9, 9).map(Fraction),
+    st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 10**9)),
+)
+
 
 class TestSparseSeries:
     @settings(deadline=None)
@@ -266,6 +296,15 @@ class TestSparseSeries:
     @given(sparse_coeffs(constant_term=True))
     def test_invert_matches_dense(self, a):
         assert list(series_invert(EgfSeries.from_coeffs(a)).coeffs) == dense_invert(a)
+
+    @settings(deadline=None)
+    @given(st.lists(mixed_rationals, min_size=1, max_size=25),
+           st.lists(mixed_rationals, min_size=1, max_size=25))
+    def test_mixed_denominators_match_dense(self, a, b):
+        product = series_multiply(EgfSeries.from_coeffs(a), EgfSeries.from_coeffs(b))
+        assert list(product.coeffs) == dense_multiply(a, b)
+        if b[0]:
+            assert list(series_invert(EgfSeries.from_coeffs(b)).coeffs) == dense_invert(b)
 
     @settings(deadline=None)
     @given(sections, sections, st.integers(0, 60))
