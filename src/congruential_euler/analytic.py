@@ -298,6 +298,7 @@ _MATCH_TOL = 1e-9  # a certified zero this close to a lattice point is that poin
 _SPECIAL_REL_TOL = 1e-8  # relative tolerance of each check_special_values cross-relation
 
 _EXP_LIMIT = 700.0  # beyond this, exp overflows doubles
+_NEWTON_STEPS = 50  # locate_zero gives up after this many Newton steps
 
 
 def eval_H(N: int, j: int, z: complex) -> complex:
@@ -381,23 +382,21 @@ def family_zeros(family: tuple[int, int], count: int) -> list[tuple[int, int, co
     return list(itertools.islice(points, max(count, 0)))
 
 
-def locate_zero(
-    N: int, j: int, guess: complex, tol: float = 1e-12, max_steps: int = 50
-) -> complex:
+def locate_zero(N: int, j: int, guess: complex, tol: float = 1e-12) -> complex:
     """Newton iteration z <- z - H(z)/H'(z) from a nearby guess.
 
     The derivative uses the index-shift rule H_{N,j}' = H_{N,j-1} (with
     j = 0 wrapping to N-1).  The iterate is returned once its residual is
     below ``tol``, or once the step has stalled and the residual is below
     max(tol, rounding_floor(N, z)): beyond |z| of about 18 the rounding of
-    eval_H alone exceeds any fixed tolerance.  Raises on non-convergence,
-    reporting the last iterate.
+    eval_H alone exceeds any fixed tolerance.  Raises if neither holds
+    after _NEWTON_STEPS steps, reporting the last iterate.
     """
     z = complex(guess)
     j_prime = (j - 1) % N
     value = eval_H(N, j, z)
     residual = abs(value)
-    for _ in range(max_steps):
+    for _ in range(_NEWTON_STEPS):
         if residual < tol:
             return z
         derivative = eval_H(N, j_prime, z)

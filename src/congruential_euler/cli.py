@@ -49,14 +49,17 @@ __all__ = ["main"]
 
 
 def _parse_range(text: str) -> range:
-    """Parse an inclusive 'a..b' range (a single integer means a..a)."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    """Parse an inclusive 'a..b' range (a single integer means a..a), the argparse type of --n."""
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer a or a range a..b, got {text!r}"
+        ) from None
     if hi < lo:
-        raise ValueError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {text!r}: expected a..b with a <= b")
     return range(lo, hi + 1)
 
 
@@ -137,7 +140,10 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         results, ok = [o.result for o in outcomes], all(o.matches for o in outcomes)
     else:
         if args.grid is not None:
-            spec = json.loads(Path(args.grid).read_text())
+            try:
+                spec = json.loads(Path(args.grid).read_text())
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"grid {args.grid}: not valid JSON: {exc}") from None
             results = [scan_conjecture(*row) for row in _grid_rows(spec)]
         elif None in (args.p, args.m, args.j, args.r):
             raise ValueError("scan: provide --p --m --j --r, or --appendix-b, or --grid")
@@ -282,9 +288,10 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             text = f"{path.name}: {header} ({entries} entries)"
             _emit(args, record, text, tsv=text)  # no TSV form: the row is the text line
         return 2 if bad else 0
-    for path in files:  # clear
+    removed = [path for path in files if _CACHE_NAME.fullmatch(path.name)]  # clear
+    for path in removed:
         path.unlink()
-    print(f"removed {len(files)} cache file(s)", file=sys.stderr)
+    print(f"removed {len(removed)} cache file(s)", file=sys.stderr)
     return 0
 
 
@@ -314,35 +321,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
     v_sub = p_verify.add_subparsers(dest="theorem", required=True)
     v_main = v_sub.add_parser("main")
-    v_main.set_defaults(check=lambda a: congruences.check_main_theorem(
-        a.p, a.j, a.r, _parse_range(a.n)))
+    v_main.set_defaults(check=lambda a: congruences.check_main_theorem(a.p, a.j, a.r, a.n))
     v_main.add_argument("--p", type=int, required=True)
     v_main.add_argument("--j", type=int, required=True)
     v_main.add_argument("--r", type=int, required=True)
-    v_main.add_argument("--n", default="0..20")
+    v_main.add_argument("--n", type=_parse_range, default="0..20")
     v_kl = v_sub.add_parser("komatsu-liu")
     v_kl.set_defaults(check=lambda a: congruences.check_komatsu_liu(
         a.k, a.pairs))
     v_kl.add_argument("--k", type=int, required=True)
     v_kl.add_argument("--pairs", type=_family, nargs="+", required=True, metavar="N,M")
     v_gessel = v_sub.add_parser("gessel")
-    v_gessel.set_defaults(check=lambda a: congruences.check_gessel(
-        a.p, a.m, a.k, _parse_range(a.n)))
+    v_gessel.set_defaults(check=lambda a: congruences.check_gessel(a.p, a.m, a.k, a.n))
     v_gessel.add_argument("--p", type=int, required=True)
     v_gessel.add_argument("--m", type=int, required=True)
     v_gessel.add_argument("--k", type=int, required=True)
-    v_gessel.add_argument("--n", default="0..10")
+    v_gessel.add_argument("--n", type=_parse_range, default="0..10")
     v_pp = v_sub.add_parser("prime-power")
-    v_pp.set_defaults(check=lambda a: congruences.check_prime_power(
-        a.p, a.k, a.r, _parse_range(a.n)))
+    v_pp.set_defaults(check=lambda a: congruences.check_prime_power(a.p, a.k, a.r, a.n))
     v_pp.add_argument("--p", type=int, required=True)
     v_pp.add_argument("--k", type=int, required=True)
     v_pp.add_argument("--r", type=int, required=True)
-    v_pp.add_argument("--n", default="0..10")
+    v_pp.add_argument("--n", type=_parse_range, default="0..10")
     v_s40 = v_sub.add_parser("special-40")
-    v_s40.set_defaults(check=lambda a: congruences.check_special_40(a.r, _parse_range(a.n)))
+    v_s40.set_defaults(check=lambda a: congruences.check_special_40(a.r, a.n))
     v_s40.add_argument("--r", type=int, required=True)
-    v_s40.add_argument("--n", default="0..10")
+    v_s40.add_argument("--n", type=_parse_range, default="0..10")
     v_s60 = v_sub.add_parser("special-60")
     v_s60.set_defaults(check=lambda a: congruences.check_special_60(a.r, a.n_max)[1])
     v_s60.add_argument("--r", type=int, required=True)

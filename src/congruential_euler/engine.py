@@ -192,9 +192,16 @@ def residue_table(params: SeqParams, p: int, r: int, n_max: int) -> list[int]:
         C(a, b) = p^{e(a)-e(b)-e(a-b)} * u(a) * u(b)^-1 * u(a-b)^-1,
 
     where the exponent is Kummer's carry count (a term whose exponent
-    reaches R vanishes mod p^R).  The loop keeps E_m * u(Nm)^-1 and divides
-    S_n by the unit u(Nn+j); unit factors change neither a valuation nor
-    the precision below.
+    reaches R vanishes mod p^R).  The loop reads e and u only at the marks
+    k = Nn and k = Nn + j, n <= n_max.  There e(k) = sum_{i>=1} floor(k / p^i)
+    comes from Legendre's formula.  u(k) comes from one forward pass over
+    k = 1..N*n_max + j that multiplies in each k with every factor p
+    removed and keeps the product, and its gap to the previous mark, only
+    at the marks; one inversion at the last mark, stepped back through the
+    gaps, gives u(k)^-1 at every mark.  So the state is O(n_max), whatever
+    N and j are, and E_0 = j! = p^{e(j)} * u(j) needs no exact factorial.
+    The loop keeps E_m * u(Nm)^-1 and divides S_n by the unit u(Nn+j);
+    unit factors change neither a valuation nor the precision below.
 
     Precision, by induction on n while E_0..E_{n-1} are p-integral: the
     computed E_n agrees with the exact one mod p^{P_n}, P_n = r + sum_{k>n} v_k.
@@ -212,32 +219,32 @@ def residue_table(params: SeqParams, p: int, r: int, n_max: int) -> list[int]:
     if n_max < 0:
         raise ValueError("residue_table: n_max must be nonnegative")
     N, j = params.N, params.j
-    top = N * n_max + j
-    legendre = [0] * (top + 1)  # e(k) = v_p(k!)
-    units = [1] * (top + 1)  # k with every factor p removed
-    for k in range(1, top + 1):
-        unit, v = k, 0
-        while unit % p == 0:
-            unit //= p
-            v += 1
-        legendre[k] = legendre[k - 1] + v
-        units[k] = unit
-    seed_exp = [legendre[N * n + j] for n in range(n_max + 1)]  # e(Nn+j)
-    step_exp = [legendre[N * n] for n in range(n_max + 1)]  # e(Nn)
+
+    def legendre(k: int) -> int:  # e(k) = v_p(k!) = floor(k/p) + e(floor(k/p))
+        return k // p + legendre(k // p) if k >= p else 0
+    seed_exp = [legendre(N * n + j) for n in range(n_max + 1)]  # e(Nn+j)
+    step_exp = [legendre(N * n) for n in range(n_max + 1)]  # e(Nn)
     drops = [seed_exp[n] - seed_exp[0] - step_exp[n] for n in range(n_max + 1)]  # v_n
     R = r + sum(drops)
     modulus = p**R
-    factorials = [1] * (top + 1)  # u(k) mod p^R
-    for k in range(1, top + 1):
-        factorials[k] = factorials[k - 1] * units[k] % modulus
-    inverses = [1] * (top + 1)  # u(k)^-1 mod p^R
-    inverses[top] = pow(factorials[top], -1, modulus)
-    for k in range(top, 0, -1):
-        inverses[k - 1] = inverses[k] * units[k] % modulus
-    powers = [p**k if k < R else 0 for k in range(legendre[top] + 1)]
+    # u(k) at each mark k = Nn or Nn + j, and its gap u(k) / u(previous mark)
+    units, gaps, u, last = {}, {}, 1, 0
+    for mark in sorted({N * n + shift for n in range(n_max + 1) for shift in (0, j)}):
+        gap = 1
+        for k in range(last + 1, mark + 1):
+            while k % p == 0:  # k with every factor p removed
+                k //= p
+            gap = gap * k % modulus
+        u = u * gap % modulus
+        units[mark], gaps[mark], last = u, gap, mark
+    inverses, inverse = {}, pow(u, -1, modulus)  # u(k)^-1, stepped down from the last mark
+    for mark in reversed(units):
+        inverses[mark], inverse = inverse, inverse * gaps[mark] % modulus
     seed_inv = [inverses[N * n + j] for n in range(n_max + 1)]
+    # a carry count has at most as many places as N*n_max + j has binary digits
+    powers = [pow(p, c, modulus) for c in range((N * n_max + j).bit_length() + 1)]
     target = p**r
-    scaled = [factorial(j) % modulus]  # E_m * u(Nm)^-1
+    scaled = [pow(p, seed_exp[0], modulus) * units[j] % modulus]  # E_m * u(Nm)^-1
     residues = [scaled[0] % target]
     for n in range(1, n_max + 1):
         total = sum(
@@ -246,8 +253,8 @@ def residue_table(params: SeqParams, p: int, r: int, n_max: int) -> list[int]:
         ) % modulus  # S_n * u(Nn+j)^-1
         if total % p ** drops[n]:
             break
-        scaled.append(-(total // p ** drops[n]) * factorials[j] % modulus)
-        residues.append(scaled[n] * factorials[N * n] % target)
+        scaled.append(-(total // p ** drops[n]) * units[j] % modulus)
+        residues.append(scaled[n] * units[N * n] % target)
     return residues
 
 

@@ -214,6 +214,26 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "argument --pairs: expected two integers a,b, got '3'" in err
 
+    @pytest.mark.parametrize("theorem,args", [
+        ("main", ["--p", "3", "--j", "0", "--r", "1"]),
+        ("gessel", ["--p", "3", "--m", "1", "--k", "1"]),
+        ("prime-power", ["--p", "3", "--k", "1", "--r", "1"]),
+        ("special-40", ["--r", "1"]),
+    ])
+    @pytest.mark.parametrize("text,message", [
+        ("x", "expected an integer a or a range a..b, got 'x'"),
+        ("0..x", "expected an integer a or a range a..b, got '0..x'"),
+        ("5..2", "empty range '5..2': expected a..b with a <= b"),
+    ])
+    def test_bad_range_exit_2_naming_the_option(self, capsys, tmp_path, theorem, args, text,
+                                                message):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--cache-dir", str(tmp_path), "verify", theorem, *args, "--n", text])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument --n: {message}" in captured.err
+
     def test_lemma_xm(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "--cache-dir", str(tmp_path), "verify", "lemma-xm", "--p", "3",
@@ -289,6 +309,15 @@ class TestScan:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {message}")
+        assert len(err.splitlines()) == 1
+
+    def test_grid_that_is_not_json_exit_2_naming_the_file(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text("[{p: 3}]")
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "scan", "--grid", str(grid))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: grid {grid}: not valid JSON: ")
         assert len(err.splitlines()) == 1
 
 
@@ -425,6 +454,16 @@ class TestCache:
         code, _, err = run(capsys, "--cache-dir", str(tmp_path), "cache", "clear")
         assert code == 0
         assert not list(tmp_path.glob("*.txt"))
+
+    def test_clear_removes_only_files_that_inspect_reads(self, capsys, tmp_path):
+        run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", "2", "--j", "0",
+            "--n-max", "3")
+        stray = tmp_path / "euler_Nnotes_jx.txt"
+        stray.write_text("my notes\n")
+        code, _, err = run(capsys, "--cache-dir", str(tmp_path), "cache", "clear")
+        assert code == 0
+        assert err == "removed 1 cache file(s)\n"
+        assert [path.name for path in tmp_path.iterdir()] == [stray.name]
 
     def test_inspect_json(self, capsys, tmp_path):
         run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", "2", "--j", "0",

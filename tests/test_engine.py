@@ -2,6 +2,7 @@
 
 import resource
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb, factorial
 
@@ -137,6 +138,12 @@ class TestResidueTable:
         r=st.integers(1, 4),
         n_max=st.integers(0, 20),
     )
+    @example(N=2, j=7, p=3, r=2, n_max=12)  # j >= 2N
+    @example(N=3, j=6, p=2, r=3, n_max=12)  # j = 0 mod N, j > 0
+    @example(N=1, j=0, p=5, r=2, n_max=20)  # N = 1
+    @example(N=1, j=4, p=2, r=3, n_max=20)
+    @example(N=6, j=3, p=3, r=3, n_max=20)  # nonzero drops v_n
+    @example(N=42, j=9, p=7, r=2, n_max=12)
     def test_matches_exact_residues(self, N, j, p, r, n_max):
         expected = []
         for value in compute_table(SeqParams(N, j), n_max).values:
@@ -170,6 +177,17 @@ class TestResidueTable:
     def test_invalid_arguments(self, p, r, n_max):
         with pytest.raises(ValueError):
             residue_table(SeqParams(2, 0), p, r, n_max)
+
+    def test_state_does_not_grow_with_the_factorial_range(self):
+        # one entry, but u(k) runs up to k = 20000: only O(n_max) values are kept
+        tracemalloc.start()
+        try:
+            values = residue_table(SeqParams(1, 20000), CACHE_CHECK_PRIME, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values == [factorial(20000) % CACHE_CHECK_PRIME]
+        assert peak < 100_000
 
 
 class TestIntegrality:
@@ -306,6 +324,18 @@ class TestCache:
         cache_store(compute_table(SeqParams(4, 2), 3), path)
         with pytest.raises(CacheFormatError, match="line 5: too many entries to check mod 11"):
             cache_load(SeqParams(4, 2), path)
+
+    def test_checking_a_hand_made_file_with_a_huge_N_keeps_memory_small(self, tmp_path):
+        path = tmp_path / "euler_N20000_j0.txt"
+        path.write_text("congruential-euler-cache v1 N=20000 j=0\n0 1/1\n1 -1/1\n")
+        tracemalloc.start()
+        try:
+            table = cache_load(SeqParams(20000, 0), path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.values == [1, -1]
+        assert peak < 100_000
 
     def test_store_format_is_stable(self, tmp_path):
         path = tmp_path / "euler.txt"
