@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import factorial
+from math import factorial, perm
 from typing import Callable
 
 from .engine import SeqParams, compute_table, euler_number
@@ -425,7 +425,7 @@ def check_special_values(k: int, l: int) -> bool:
         raise ValueError("check_special_values: need k >= 1 and l >= 0")
     if l >= 6:
         raise ValueError("check_special_values: l out of range for every family")
-    if math.sqrt(2.0) * k * math.pi > _EXP_LIMIT or 2.0 * k * math.pi > _EXP_LIMIT:
+    if 2.0 * k * math.pi > _EXP_LIMIT:  # the largest |z| checked is 2 k pi
         raise ValueError("check_special_values: k out of double-precision range")
     checks = []
     if l < 4:
@@ -645,7 +645,5 @@ def ratio_radius(params: SeqParams, n_max: int) -> float:
     denominator = table.values[n_max + 1]
     if numerator == 0 or denominator == 0:
         raise ValueError("ratio_radius: zero sequence value encountered")
-    ratio = abs(numerator / denominator) * Fraction(
-        factorial(N * (n_max + 1)), factorial(N * n_max)
-    )
+    ratio = abs(numerator / denominator) * perm(N * (n_max + 1), N)  # (N(n+1))! / (Nn)!
     return float(ratio) ** (1.0 / N) / math.pi

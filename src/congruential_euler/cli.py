@@ -19,6 +19,7 @@ from . import congruences
 from .analytic import (
     _SEARCH_REACH,
     BERNOULLI_DISPLAYS,
+    ZERO_FAMILIES,
     BernoulliFormulaId,
     ZetaFormulaId,
     bernoulli,
@@ -135,6 +136,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    # one mode: --appendix-b, --grid FILE, or --p --m --j --r with an optional --n-max
+    mode = "--appendix-b" if args.appendix_b else "--grid" if args.grid is not None else None
+    given = {"--p": args.p, "--m": args.m, "--j": args.j, "--r": args.r, "--n-max": args.n_max,
+             "--grid": args.grid}
+    extra = [name for name, value in given.items() if value is not None and name != mode]
+    if mode is not None and extra:
+        raise ValueError(f"scan: {extra[0]} does not apply with {mode}")
     if args.appendix_b:
         outcomes = run_reference_scan(progress=True)
         results, ok = [o.result for o in outcomes], all(o.matches for o in outcomes)
@@ -225,6 +233,9 @@ def _cmd_identities(args: argparse.Namespace) -> int:
                 )
     elif target == "zeros":
         N, j = args.family
+        if (N, j) not in ZERO_FAMILIES:
+            raise ValueError("identities zeros: --family must be one of "
+                             + " ".join(f"{a},{b}" for a, b in ZERO_FAMILIES))
         if args.count < 1:
             raise ValueError("identities zeros: --count must be at least 1")
         ring = -(-args.count // N)  # the ring of the count-th zero; search halfway to the next
@@ -298,6 +309,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+def _required_ints(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add a required integer option --name for each name, in order."""
+    for name in names:
+        parser.add_argument(f"--{name}", type=int, required=True)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ceuler",
@@ -311,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="print a table of E_{Nn}^{(N,j)}")
-    p_compute.add_argument("--N", type=int, required=True)
-    p_compute.add_argument("--j", type=int, required=True)
+    _required_ints(p_compute, "N", "j")
     p_compute.add_argument("--n-max", type=int, default=30)
     p_compute.add_argument("--no-cache", action="store_true")
     p_compute.set_defaults(handler=_cmd_compute)
@@ -322,39 +338,31 @@ def build_parser() -> argparse.ArgumentParser:
     v_sub = p_verify.add_subparsers(dest="theorem", required=True)
     v_main = v_sub.add_parser("main")
     v_main.set_defaults(check=lambda a: congruences.check_main_theorem(a.p, a.j, a.r, a.n))
-    v_main.add_argument("--p", type=int, required=True)
-    v_main.add_argument("--j", type=int, required=True)
-    v_main.add_argument("--r", type=int, required=True)
+    _required_ints(v_main, "p", "j", "r")
     v_main.add_argument("--n", type=_parse_range, default="0..20")
     v_kl = v_sub.add_parser("komatsu-liu")
-    v_kl.set_defaults(check=lambda a: congruences.check_komatsu_liu(
-        a.k, a.pairs))
-    v_kl.add_argument("--k", type=int, required=True)
+    v_kl.set_defaults(check=lambda a: congruences.check_komatsu_liu(a.k, a.pairs))
+    _required_ints(v_kl, "k")
     v_kl.add_argument("--pairs", type=_family, nargs="+", required=True, metavar="N,M")
     v_gessel = v_sub.add_parser("gessel")
     v_gessel.set_defaults(check=lambda a: congruences.check_gessel(a.p, a.m, a.k, a.n))
-    v_gessel.add_argument("--p", type=int, required=True)
-    v_gessel.add_argument("--m", type=int, required=True)
-    v_gessel.add_argument("--k", type=int, required=True)
+    _required_ints(v_gessel, "p", "m", "k")
     v_gessel.add_argument("--n", type=_parse_range, default="0..10")
     v_pp = v_sub.add_parser("prime-power")
     v_pp.set_defaults(check=lambda a: congruences.check_prime_power(a.p, a.k, a.r, a.n))
-    v_pp.add_argument("--p", type=int, required=True)
-    v_pp.add_argument("--k", type=int, required=True)
-    v_pp.add_argument("--r", type=int, required=True)
+    _required_ints(v_pp, "p", "k", "r")
     v_pp.add_argument("--n", type=_parse_range, default="0..10")
     v_s40 = v_sub.add_parser("special-40")
     v_s40.set_defaults(check=lambda a: congruences.check_special_40(a.r, a.n))
-    v_s40.add_argument("--r", type=int, required=True)
+    _required_ints(v_s40, "r")
     v_s40.add_argument("--n", type=_parse_range, default="0..10")
     v_s60 = v_sub.add_parser("special-60")
     v_s60.set_defaults(check=lambda a: congruences.check_special_60(a.r, a.n_max)[1])
-    v_s60.add_argument("--r", type=int, required=True)
+    _required_ints(v_s60, "r")
     v_s60.add_argument("--n-max", type=int, default=30)
     v_xm = v_sub.add_parser("lemma-xm")
     v_xm.set_defaults(check=lambda a: congruences.verify_lemma_Xm(a.p, a.m, a.order))
-    v_xm.add_argument("--p", type=int, required=True)
-    v_xm.add_argument("--m", type=int, required=True)
+    _required_ints(v_xm, "p", "m")
     v_xm.add_argument("--order", type=int, default=60)
     v_ls = v_sub.add_parser("lemma-series")
     v_ls.set_defaults(check=lambda a: congruences.verify_lemma_series(a.n_max))
@@ -386,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     i_special = i_sub.add_parser("special-values")
     i_special.add_argument("--k-max", type=int, default=2)
     i_radius = i_sub.add_parser("radius")
-    i_radius.add_argument("--N", type=int, required=True)
-    i_radius.add_argument("--j", type=int, required=True)
+    _required_ints(i_radius, "N", "j")
     i_radius.add_argument("--n-max", type=int, default=40)
 
     p_cache = sub.add_parser("cache", help="inspect or clear the disk cache")

@@ -19,6 +19,7 @@ from typing import Iterable, Optional
 from .engine import SeqParams, residue_table
 from .exact import (
     EgfSeries,
+    Rational,
     exp_section,
     is_prime,
     residue_mod_prime_power,
@@ -132,25 +133,26 @@ def _antiperiodic(
 ) -> list[dict]:
     """Witnesses n in ns with v_p(E_n + E_{n+shift}) < e, the sum read mod p^e.
 
-    A sum that is 0 mod p^e is exactly 0 or has v_p >= e, so it passes; any
-    other sum s has v_p(s mod p^e) = v_p(s) < e, so a witness is exact.
+    A sum that is 0 mod p^e is exactly 0 or has v_p >= e, so it passes.  Any
+    other sum is E_n - (-E_{n+shift}) = x - y mod p^e with residues x != y,
+    and 0 < |x - y| < p^e gives v_p(x - y) = v_p(sum) < e: a witness is exact.
     """
-    residues = _residues(params, p, e, [*ns, *(n + shift for n in ns)])
-    modulus = p**e
-    sums = ((n, (residues[n] + residues[n + shift]) % modulus) for n in ns)
+    pairs = [(n, n + shift) for n in ns]
     return [
-        {"params": f"{summary} n={n}", "lhs": vp(total, p), "rhs": e} for n, total in sums if total
+        {"params": f"{summary} n={n}", "lhs": vp(x - y, p), "rhs": e}
+        for n, _, x, y in _unequal(params, params, p, e, pairs, sign=-1)
     ]
 
 
 def _unequal(
-    lhs: SeqParams, rhs: SeqParams, p: int, e: int, pairs: list[tuple[int, int]]
+    lhs: SeqParams, rhs: SeqParams, p: int, e: int, pairs: list[tuple[int, int]], sign: int = 1
 ) -> list[tuple[int, int, int, int]]:
-    """(a, b, lhs E_a mod p^e, rhs E_b mod p^e) for each pair (a, b) whose residues differ."""
+    """(a, b, lhs E_a mod p^e, sign * rhs E_b mod p^e) for each pair (a, b) where they differ."""
     indices = [n for pair in pairs for n in pair]
     left = _residues(lhs, p, e, indices)
     right = left if rhs == lhs else _residues(rhs, p, e, indices)
-    return [(a, b, left[a], right[b]) for a, b in pairs if left[a] != right[b]]
+    modulus = p**e
+    return [(a, b, left[a], y) for a, b in pairs if left[a] != (y := sign * right[b] % modulus)]
 
 
 def check_main_theorem(p: int, j: int, r: int, n_range: Iterable[int]) -> CongruenceReport:
@@ -358,44 +360,30 @@ def verify_lemma_series(n_max: int) -> CongruenceReport:
     order = 6 * n_max
     H = exp_section(6, 0, order + 3)
     H3 = series_derivative(H, 3)
-    diff = series_multiply(H3, H3) - series_multiply(H, H)
-
-    failures: list[dict] = []
-    checked = 0
-
-    checked += 1
-    if diff[0] != -1:
-        failures.append({"params": "diff n=0", "lhs": str(diff[0]), "rhs": "-1"})
-    for n in range(1, n_max + 1):
-        checked += 1
-        expected = -((-1) ** n) * 2 * 3 ** (3 * n - 1)
-        if diff[6 * n] != expected:
-            failures.append(
-                {"params": f"diff n={n}", "lhs": str(diff[6 * n]), "rhs": str(expected)}
-            )
-    for i in range(diff.order + 1):
-        if i % 6 != 0 and diff[i] != 0:
-            failures.append({"params": f"diff support i={i}", "lhs": str(diff[i]), "rhs": "0"})
-
-    cubic = series_multiply(series_multiply(H, H), H) + 3 * series_multiply(
-        H, series_multiply(H3, H3)
-    )
-    checked += 1
-    if cubic[0] != 1:
-        failures.append({"params": "c n=0", "lhs": str(cubic[0]), "rhs": "1"})
-    for n in range(1, n_max + 1):
-        checked += 1
-        c_n = cubic[6 * n]
-        if c_n == 0 or vp(c_n, 3) != 3 * n - 1:
-            seen = "inf" if c_n == 0 else vp(c_n, 3)
-            failures.append({"params": f"v3(c_{n})", "lhs": str(seen), "rhs": str(3 * n - 1)})
-
+    HH, H3H3 = series_multiply(H, H), series_multiply(H3, H3)
+    diff = H3H3 - HH
+    cubic = series_multiply(HH, H) + 3 * series_multiply(H, H3H3)
     inverse = series_invert(cubic)
-    for n in range(1, n_max + 1):
-        checked += 1
-        d_n = inverse[6 * n]
-        if d_n != 0 and vp(d_n, 3) < 2 * n:
-            failures.append(
-                {"params": f"v3(d_{n})", "lhs": str(vp(d_n, 3)), "rhs": f">= {2 * n}"}
-            )
-    return _finish("lemma_series", f"n_max={n_max}", checked, failures)
+
+    def v3(x: Rational) -> int | str:
+        return "inf" if x == 0 else vp(x, 3)
+
+    # rows (statement, seen, expected, holds): the diff, support, c and d rows
+    ns = range(1, n_max + 1)
+    diff_wanted = [-1] + [-((-1) ** n) * 2 * 3 ** (3 * n - 1) for n in ns]
+    rows = [(f"diff n={n}", diff[6 * n], w, diff[6 * n] == w) for n, w in enumerate(diff_wanted)]
+    support = [
+        (f"diff support i={i}", diff[i], 0, diff[i] == 0) for i in range(diff.order + 1) if i % 6
+    ]
+    rows += support + [("c n=0", cubic[0], 1, cubic[0] == 1)]
+    rows += [(f"v3(c_{n})", (c := v3(cubic[6 * n])), 3 * n - 1, c == 3 * n - 1) for n in ns]
+    rows += [
+        (f"v3(d_{n})", (d := v3(inverse[6 * n])), f">= {2 * n}", d == "inf" or d >= 2 * n)
+        for n in ns
+    ]
+    failures = [
+        {"params": statement, "lhs": str(seen), "rhs": str(wanted)}
+        for statement, seen, wanted, holds in rows if not holds
+    ]
+    # support rows are not instances, so 3 * n_max + 2 rows are
+    return _finish("lemma_series", f"n_max={n_max}", len(rows) - len(support), failures)

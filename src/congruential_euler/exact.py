@@ -201,8 +201,7 @@ class EgfSeries:
         return lhs + (-self)
 
     def __mul__(self, other: object) -> "EgfSeries":
-        if isinstance(other, EgfSeries):
-            return series_multiply(self, other)
+        """Scalar multiple; the product of two series is :func:`series_multiply`."""
         if isinstance(other, (int, Fraction)):
             return EgfSeries(tuple(c * other for c in self.coeffs))
         return NotImplemented

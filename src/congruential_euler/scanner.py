@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from math import lcm
 from typing import Iterable, Optional
 
@@ -99,12 +100,6 @@ class PeriodScanResult:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def default_scan_window(p: int, m: int, r: int) -> int:
-    """Table length guaranteeing the two-full-periods tail rule can fire."""
-    q = lcm(2, p - 1)
-    return max(3 * (q * p**r) // (m * p), 30)
-
-
 def scan_conjecture(
     p: int, m: int, j: int, r: int, n_max: Optional[int] = None
 ) -> PeriodScanResult:
@@ -127,32 +122,26 @@ def scan_conjecture(
     if r < 1:
         raise ValueError("scan_conjecture: r must be positive")
 
-    q = lcm(2, p - 1)
-    conjecture_period = q * p**r
-    max_period_table = conjecture_period // mp
+    conjecture_period = lcm(2, p - 1) * p**r
+    max_period_table = conjecture_period // mp  # exact: m | lcm(2, p-1) and p | p^r
     if n_max is None:
-        n_max = default_scan_window(p, m, r)
+        n_max = max(3 * max_period_table, 30)  # long enough for the two-full-periods rule
+    result = partial(PeriodScanResult, p, m, j, r, n_max, conjecture_period=conjecture_period)
 
     residues = residue_table(SeqParams(mp, j), p, r, n_max)
     if len(residues) <= n_max:
-        return PeriodScanResult(
-            p, m, j, r, n_max, "integrality_failed",
-            conjecture_period=conjecture_period,
-            note=f"denominator of entry n={len(residues)} is divisible by {p}",
-        )
+        note = f"denominator of entry n={len(residues)} is divisible by {p}"
+        return result("integrality_failed", note=note)
 
     found = detect_eventual_period(residues, max_period_table)
     if found.status != "found":
-        return PeriodScanResult(
-            p, m, j, r, n_max, found.status, conjecture_period=conjecture_period
-        )
+        return result(found.status)
     period_index = found.period * mp
-    return PeriodScanResult(
-        p, m, j, r, n_max, "ok",
+    return result(
+        "ok",
         n0=found.n0,
         period_index=period_index,
         cycle=residues[found.n0 : found.n0 + found.period],
-        conjecture_period=conjecture_period,
         divides_conjecture=conjecture_period % period_index == 0,
     )
 
@@ -278,18 +267,18 @@ class ReferenceOutcome:
 
 
 def _reference_outcome(row: ReferenceRow) -> ReferenceOutcome:
-    """Scan the row and its companion; swap them only if the companion alone matches."""
+    """Scan the row and its companion; swap them only if the companion alone matches.
+
+    Each scan is compared with the printed (n0, period) once; the outcome
+    matches when either scan does, since a lone companion match is swapped in.
+    """
     printed = (row.published_n0, row.published_period)
-    result = scan_conjecture(row.p, row.mp // row.p, row.j, row.r)
-    companions = [] if row.companion is None else [scan_conjecture(row.p, *row.companion)]
-    swap = (
-        bool(companions)
-        and (result.n0, result.period_index) != printed
-        and (companions[0].n0, companions[0].period_index) == printed
-    )
-    if swap:
-        result, companions = companions[0], [result]
-    outcome = ReferenceOutcome(row, result, (result.n0, result.period_index) == printed, companions)
+    scans = [scan_conjecture(row.p, row.mp // row.p, row.j, row.r)]
+    scans += [] if row.companion is None else [scan_conjecture(row.p, *row.companion)]
+    hits = [(scan.n0, scan.period_index) == printed for scan in scans]
+    swap = hits == [False, True]
+    result, *companions = scans[::-1] if swap else scans
+    outcome = ReferenceOutcome(row, result, any(hits), companions)
     result.note = outcome.annotation() + (f"; matched by r={result.r} scan" if swap else "")
     return outcome
 

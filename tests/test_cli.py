@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from congruential_euler import analytic
+from congruential_euler import analytic, cli, congruences
 from congruential_euler.cli import main
 from congruential_euler.engine import SeqParams, compute_table
 
@@ -259,6 +259,16 @@ class TestVerify:
         assert code == 1
         assert "INCONCLUSIVE" in out
 
+    def test_check_failure_exit_1(self, capsys, tmp_path, monkeypatch):
+        # residue_table stops one short, as it does at an entry with p in its denominator
+        monkeypatch.setattr(congruences, "residue_table", lambda params, p, e, top: [0] * top)
+        code, out, err = run(
+            capsys, "--cache-dir", str(tmp_path), "verify", "main", "--p", "3", "--j", "0",
+            "--r", "1", "--n", "0..2",
+        )
+        assert (code, out) == (1, "")
+        assert err == "check failed: E^(3,0) at table index n=3 has p=3 in its denominator\n"
+
 
 class TestScan:
     def test_single_scan(self, capsys, tmp_path):
@@ -320,6 +330,33 @@ class TestScan:
         assert err.startswith(f"error: grid {grid}: not valid JSON: ")
         assert len(err.splitlines()) == 1
 
+    def test_grid_that_is_not_a_list_exit_2(self, capsys, tmp_path):
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"p": 3, "m": 2, "j": 3, "r": 2}))
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "scan", "--grid", str(grid))
+        assert (code, out) == (2, "")
+        assert err == "error: grid: expected a JSON list of scans\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["--grid", "{grid}", "--n-max", "5"], "--n-max does not apply with --grid"),
+        (["--grid", "{grid}", "--p", "3", "--m", "2", "--j", "3", "--r", "2"],
+         "--p does not apply with --grid"),
+        (["--appendix-b", "--j", "3", "--r", "2", "--n-max", "5"],
+         "--j does not apply with --appendix-b"),
+        (["--appendix-b", "--n-max", "5"], "--n-max does not apply with --appendix-b"),
+        (["--appendix-b", "--grid", "{grid}"], "--grid does not apply with --appendix-b"),
+    ])
+    def test_options_outside_the_chosen_mode_exit_2(self, capsys, tmp_path, monkeypatch, args,
+                                                     message):
+        monkeypatch.setattr(cli, "scan_conjecture", None)  # no scan may run
+        monkeypatch.setattr(cli, "run_reference_scan", None)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps([{"p": 3, "m": 2, "j": 3, "r": 2}]))
+        argv = [str(grid) if arg == "{grid}" else arg for arg in args]
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "scan", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: scan: {message}\n"
+
 
 class TestIdentities:
     def test_zeta_all_equal(self, capsys, tmp_path):
@@ -365,6 +402,15 @@ class TestIdentities:
         err = capsys.readouterr().err
         assert "argument --family: expected two integers a,b, got 'x'" in err
         assert "_family" not in err
+
+    @pytest.mark.parametrize("family", ("0,0", "3,0", "-4,0"))
+    def test_zeros_unknown_family_exit_2(self, capsys, tmp_path, monkeypatch, family):
+        monkeypatch.setattr(analytic, "find_zeros_in_disk", None)  # no search may run
+        code, out, err = run(
+            capsys, "--cache-dir", str(tmp_path), "identities", "zeros", f"--family={family}"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: identities zeros: --family must be one of 4,0 4,2 6,3\n"
 
     @pytest.mark.parametrize("count", ("0", "-3"))
     def test_zeros_rejects_a_count_below_one(self, capsys, tmp_path, count):
@@ -488,6 +534,15 @@ class TestCache:
         assert errors[0].startswith("error: ") and "euler_N3_j0.txt" in errors[0]
         assert "bad header 'garbage'" in errors[0]
         assert "euler_N4_j2.txt" in errors[1] and "requested N=4 j=2" in errors[1]
+
+    def test_inspect_rejects_a_name_with_a_leading_zero(self, capsys, tmp_path):
+        run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", "1", "--j", "0",
+            "--n-max", "3")
+        (tmp_path / "euler_N1_j0.txt").rename(tmp_path / "euler_N01_j0.txt")
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "cache", "inspect")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {tmp_path / 'euler_N01_j0.txt'}: "
+                       "file name does not give N >= 1 and j\n")
 
     def test_inspect_reports_wrong_values(self, capsys, tmp_path):
         for N, j, n_max in ((2, 0, 3), (4, 2, 5)):

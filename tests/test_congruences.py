@@ -261,6 +261,26 @@ def test_non_integer_value_is_an_arithmetic_fault(check, index, p, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "check, witness",
+    [
+        (lambda: check_main_theorem(3, 1, 1, [0]),
+         {"params": "p=3 j=1 r=1 n=0", "lhs": 0, "rhs": 1}),
+        (lambda: check_komatsu_liu(1, [(0, 6)]), {"params": "k=1 n=0 m=6", "lhs": 3, "rhs": 0}),
+        (lambda: check_gessel(2, 1, 1, [0]), {"params": "p=2 m=1 k=1 n=0", "lhs": 2, "rhs": 1}),
+        (lambda: check_special_40(1, [0]), {"params": "r=1 n=0", "lhs": 1, "rhs": 0}),
+    ],
+    ids=WINDOWED_IDS[:3] + WINDOWED_IDS[4:5],
+)
+def test_windowed_witnesses(check, witness, monkeypatch):
+    def made_up_table(params, p, e, top):  # E_{Nn} = N + n mod p^e breaks each check at n = 0
+        return [(params.N + n) % p**e for n in range(top + 1)]
+
+    monkeypatch.setattr(congruences, "residue_table", made_up_table)
+    report = check()
+    assert (report.status, report.failures) == ("fail", [witness])
+
+
+@pytest.mark.parametrize(
     "check",
     [
         lambda: check_main_theorem(3, 0, 1, [-1]),  # its shifted partner n = 0 is valid
@@ -388,3 +408,87 @@ def test_public_checks_match_exact_reference(p, j, r, lo, size):
     n_max = lo + size - 1
     expected_n0 = exact_special_60_n0(r, n_max)
     assert check_special_60(r, n_max)[0] == (None if expected_n0 > n_max else expected_n0)
+
+
+def _derivative_one_short(series, k):
+    """A wrong series_derivative: the (k-1)-th derivative for k > 1."""
+    return series_derivative(series, k - 1 if k > 1 else k)
+
+
+LEMMA_SERIES_WITNESSES = {
+    # H''' replaced by H: the diff rows and the c and d rows fail, with no support row
+    "identity": (lambda series, k: series, [
+        {"params": "diff n=0", "lhs": "0", "rhs": "-1"},
+        {"params": "diff n=1", "lhs": "0", "rhs": "18"},
+        {"params": "diff n=2", "lhs": "0", "rhs": "-486"},
+        {"params": "c n=0", "lhs": "4", "rhs": "1"},
+        {"params": "v3(c_1)", "lhs": "1", "rhs": "2"},
+        {"params": "v3(c_2)", "lhs": "1", "rhs": "5"},
+        {"params": "v3(d_1)", "lhs": "1", "rhs": ">= 2"},
+        {"params": "v3(d_2)", "lhs": "1", "rhs": ">= 4"},
+    ]),
+    # H''' replaced by H'': a support row fails between the diff and the c rows
+    "one_short": (_derivative_one_short, [
+        {"params": "diff n=1", "lhs": "-2", "rhs": "18"},
+        {"params": "diff n=2", "lhs": "-926", "rhs": "-486"},
+        {"params": "diff support i=8", "lhs": "70", "rhs": "0"},
+        {"params": "v3(c_1)", "lhs": "1", "rhs": "2"},
+        {"params": "v3(c_2)", "lhs": "1", "rhs": "5"},
+        {"params": "v3(d_1)", "lhs": "1", "rhs": ">= 2"},
+        {"params": "v3(d_2)", "lhs": "1", "rhs": ">= 4"},
+    ]),
+}
+
+
+def _sections_3_0_and_6_1(step, offset, order):
+    """A wrong H: the sections of exp(z) at 3n and at 6n + 1."""
+    return exp_section(3, 0, order) + exp_section(6, 1, order)
+
+
+# H[3] = 1 gives H'''[0] = 1: the support rows fail, and so does c n=0 right after them
+LEMMA_SERIES_SECTIONS_WITNESSES = [
+    {"params": "diff n=0", "lhs": "0", "rhs": "-1"},
+    {"params": "diff n=1", "lhs": "0", "rhs": "18"},
+    {"params": "diff n=2", "lhs": "0", "rhs": "-486"},
+    {"params": "diff support i=1", "lhs": "-2", "rhs": "0"},
+    {"params": "diff support i=2", "lhs": "-2", "rhs": "0"},
+    {"params": "diff support i=4", "lhs": "-6", "rhs": "0"},
+    {"params": "diff support i=7", "lhs": "54", "rhs": "0"},
+    {"params": "diff support i=8", "lhs": "54", "rhs": "0"},
+    {"params": "diff support i=10", "lhs": "162", "rhs": "0"},
+    {"params": "c n=0", "lhs": "4", "rhs": "1"},
+]
+
+
+@pytest.mark.parametrize("patch, witnesses", [
+    *((("series_derivative", derivative), witnesses)
+      for derivative, witnesses in LEMMA_SERIES_WITNESSES.values()),
+    (("exp_section", _sections_3_0_and_6_1), LEMMA_SERIES_SECTIONS_WITNESSES),
+], ids=[*LEMMA_SERIES_WITNESSES, "sections"])
+def test_lemma_series_witnesses(patch, witnesses, monkeypatch):
+    monkeypatch.setattr(congruences, "MAX_WITNESSES", 100)
+    monkeypatch.setattr(congruences, *patch)
+    report = verify_lemma_series(2)
+    # support rows are not instances: n_max + 1 diff, n_max + 1 c and n_max d rows
+    assert (report.status, report.instances_checked) == ("fail", 3 * 2 + 2)
+    assert report.failures == witnesses
+
+
+def test_lemma_Xm_witnesses(monkeypatch):
+    monkeypatch.setattr(congruences, "MAX_WITNESSES", 100)
+    monkeypatch.setattr(congruences, "series_derivative", _derivative_one_short)
+    report = verify_lemma_Xm(2, 1, 20)
+    assert (report.status, report.instances_checked) == ("fail", 21)
+    assert report.failures == [
+        {"params": "p=2 m=1 coeff n=2", "lhs": 0, "rhs": 1},
+        {"params": "p=2 m=1 coeff n=3", "lhs": 1, "rhs": 0},
+    ]
+
+
+def test_render_text_lists_witnesses():
+    witness = {"params": "p=3 j=0 r=1 n=4", "lhs": 1, "rhs": 2}
+    report = CongruenceReport("main_theorem", "p=3 j=0 r=1", 7, [witness], "fail")
+    assert report.render_text() == (
+        "main_theorem [p=3 j=0 r=1]: FAIL (7 instances)\n"
+        "  witness {'params': 'p=3 j=0 r=1 n=4', 'lhs': 1, 'rhs': 2}"
+    )

@@ -271,6 +271,18 @@ class TestCache:
         with pytest.raises(CacheFormatError, match="line 4: bad entry ''"):
             cache_load(SeqParams(2, 0), path)
 
+    @pytest.mark.parametrize("content, message", [
+        (b"", "line 1: empty cache file"),
+        (b"congruential-euler-cache v1 N=2 j=0\n", "line 2: no entries"),
+        (b"congruential-euler-cache v1 N=2 j=0\n0 1/0\n", "line 2: denominator must be positive"),
+        (b"congruential-euler-cache v1 N=2 j=0\n0 1/1\xc3\xa9\n", "not ASCII text"),
+    ], ids=["empty", "header_only", "zero_denominator", "non_ascii"])
+    def test_malformed_file_rejected(self, tmp_path, content, message):
+        path = tmp_path / "euler.txt"
+        path.write_bytes(content)
+        with pytest.raises(CacheFormatError, match=message):
+            cache_load(SeqParams(2, 0), path)
+
     def test_round_trip_beyond_the_int_str_digit_limit(self, tmp_path, default_digit_limit):
         table = compute_table(SeqParams(42, 9), 70)
         assert abs(table.values[-1].numerator) > 10**4300

@@ -156,6 +156,11 @@ class TestReferenceOutcome:
         assert [c.r for c in outcome.companions] == [1]
         assert outcome.result.note.endswith("; matched by r=2 scan")
 
+    def test_both_matching_keeps_the_row_scan(self):
+        outcome = _reference_outcome(ReferenceRow(6, 3, 3, 1, 1, 6, companion=(2, 3, 1)))
+        assert outcome.matches and outcome.result.r == 1
+        assert "matched by" not in outcome.result.note
+
     def test_no_match_keeps_the_row_scan(self):
         outcome = _reference_outcome(ReferenceRow(6, 3, 3, 1, 0, 54, companion=(2, 3, 2)))
         assert not outcome.matches and outcome.result.r == 1
