@@ -11,6 +11,7 @@ and is confined to this module.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import sys
@@ -299,10 +300,41 @@ _SPECIAL_REL_TOL = 1e-8  # relative tolerance of each check_special_values cross
 
 _EXP_LIMIT = 700.0  # beyond this, exp overflows doubles
 _NEWTON_STEPS = 50  # locate_zero gives up after this many Newton steps
+_EdgeMap = dict[tuple[complex, complex], float]  # walked edge (a, b) -> certified change of arg
+
+
+@functools.lru_cache(maxsize=64)
+def _unit_roots(N: int, j: int) -> tuple[tuple[complex, complex], ...]:
+    """The pairs (zeta_N^k, zeta_N^{-kj}), k = 0..N-1, that every evaluation reads."""
+    if N < 1 or not 0 <= j < N:
+        raise ValueError("eval_H: need N >= 1 and 0 <= j < N")
+    return tuple(
+        (cmath.rect(1.0, 2.0 * math.pi * k / N), cmath.rect(1.0, -2.0 * math.pi * k * j / N))
+        for k in range(N)
+    )
+
+
+def _evaluate(N: int, j: int, z: complex) -> tuple[complex, float]:
+    """H_{N,j}(z) and M(z) = (1/N) sum_k exp(Re(zeta_N^k z)) from one pass over the roots."""
+    roots = _unit_roots(N, j)
+    if abs(z) > _EXP_LIMIT:
+        raise ValueError("eval_H: |z| out of double-precision exp range")
+    total = 0j
+    majorant = 0.0
+    for root, twist in roots:
+        exponent = root * z
+        total += twist * cmath.exp(exponent)
+        majorant += math.exp(exponent.real)
+    return total / N, majorant / N
 
 
 def eval_H(N: int, j: int, z: complex) -> complex:
     """Evaluate H_{N,j}(z) = (1/N) sum_k zeta_N^{-kj} exp(zeta_N^k z).
+
+    The roots of unity zeta_N^k = rect(1, 2 pi k/N) and the phase factors
+    zeta_N^{-kj} = rect(1, -2 pi k j/N) are built once per (N, j) and
+    cached; the same expressions give the same doubles as building them
+    afresh at every call, so the bound below covers the cached values.
 
     Rounding bound: for |z| <= 700 and a libm whose exp, sin and cos are
     correct to one ulp, the returned value differs from H_{N,j}(z) by at
@@ -319,20 +351,12 @@ def eval_H(N: int, j: int, z: complex) -> complex:
     eps |z| M(z) for large |z|, not a fixed multiple of eps M(z), because
     the roots of unity are rounded.
     """
-    if N < 1 or not 0 <= j < N:
-        raise ValueError("eval_H: need N >= 1 and 0 <= j < N")
-    if abs(z) > _EXP_LIMIT:
-        raise ValueError("eval_H: |z| out of double-precision exp range")
-    total = 0j
-    for k in range(N):
-        root = cmath.rect(1.0, 2.0 * math.pi * k / N)
-        total += cmath.rect(1.0, -2.0 * math.pi * k * j / N) * cmath.exp(root * z)
-    return total / N
+    return _evaluate(N, j, z)[0]
 
 
 def _majorant(N: int, z: complex) -> float:
     """M(z) = (1/N) sum_k exp(Re(zeta_N^k z)), which bounds every |H_{N,m}(z)|."""
-    return sum(math.exp((cmath.rect(1.0, 2.0 * math.pi * k / N) * z).real) for k in range(N)) / N
+    return _evaluate(N, 0, z)[1]
 
 
 def rounding_floor(N: int, z: complex, majorant: float | None = None) -> float:
@@ -458,10 +482,11 @@ def _edge_phase(N: int, j: int, a: complex, b: complex) -> float:
     The segment is walked in pieces [p, p + h] with h <= 1/2.  The
     derivative H_{N,j}' = H_{N,m}, m = (j-1) mod N, is bounded on the disk
     |w - p| <= h in two ways: Re(zeta^k w) <= Re(zeta^k p) + h gives
-    |H'(w)| <= M(p) e^h, with M = _majorant; and the Taylor series
-    sum_n w^(Nn+m)/(Nn+m)! gives |H'(w)| <= r^m/m! e^r with r = |p| + h
-    (_taylor_bound), which is far smaller near the origin, where H has a
-    zero of order j.
+    |H'(w)| <= M(p) e^h, with M the majorant of eval_H, read off the
+    evaluation of H at p that the walk has already made (_evaluate returns
+    both); and the Taylor series sum_n w^(Nn+m)/(Nn+m)! gives |H'(w)| <=
+    r^m/m! e^r with r = |p| + h (_taylor_bound), which is far smaller near
+    the origin, where H has a zero of order j.
     With B the smaller bound, |H(w) - H(p)| <= h B on the disk.  A piece is
     accepted when the computed value Hc(p) satisfies |Hc(p)| > h B + F(p),
     F = rounding_floor; otherwise it is halved.  As h <= 1/2, M(p + h) <=
@@ -490,11 +515,10 @@ def _edge_phase(N: int, j: int, a: complex, b: complex) -> float:
     length = abs(b - a)
     direction = (b - a) / length
     done = 0.0
-    value = eval_H(N, j, a)
+    value, majorant = _evaluate(N, j, a)  # H and M at the start of each piece
     total = 0.0
     while done < length:
         point = a + done * direction
-        majorant = _majorant(N, point)
         room = abs(value) - rounding_floor(N, point, majorant)
         h = min(length - done, 0.5)
         while True:
@@ -509,17 +533,31 @@ def _edge_phase(N: int, j: int, a: complex, b: complex) -> float:
                 )
         done = length if h == length - done else done + h
         end = b if done >= length else a + done * direction
-        following = eval_H(N, j, end)
+        following, majorant = _evaluate(N, j, end)
         total += cmath.phase(following / value)
         value = following
     return total
 
 
-def _box_count(N: int, j: int, box: tuple[float, float, float, float]) -> int:
-    """Zeros of H_{N,j} inside the box (x0, x1, y0, y1), with multiplicity."""
+def _box_count(N: int, j: int, box: tuple[float, float, float, float], walked: _EdgeMap) -> int:
+    """Zeros of H_{N,j} inside the box (x0, x1, y0, y1), with multiplicity.
+
+    ``walked`` maps each edge (a, b) already walked in this search of
+    H_{N,j} to its certified change of arg; an edge found there is not
+    walked again, and an edge found walked the other way, (b, a), adds the
+    negated change, which is the certified change of arg along (a, b).
+    Every edge walked here is added to it.  The corner values are computed
+    the same way in every walk, so the straight connectors of _edge_phase
+    still cancel between a reused edge and a fresh one.
+    """
     x0, x1, y0, y1 = box
     corners = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
-    total = sum(_edge_phase(N, j, corners[i], corners[(i + 1) % 4]) for i in range(4))
+    total = 0.0
+    for edge in zip(corners, corners[1:] + corners[:1]):
+        if edge not in walked:
+            a, b = edge
+            walked[edge] = -walked[b, a] if (b, a) in walked else _edge_phase(N, j, a, b)
+        total += walked[edge]
     return round(total / (2.0 * math.pi))
 
 
@@ -531,7 +569,7 @@ _SEARCH_REACH = (_EXP_LIMIT - abs(_ROOT_CENTRE)) / math.sqrt(2.0) - _ROOT_MARGIN
 
 
 def _split(
-    N: int, j: int, box: tuple[float, float, float, float], count: int
+    N: int, j: int, box: tuple[float, float, float, float], count: int, walked: _EdgeMap
 ) -> list[tuple[tuple[float, float, float, float], int]]:
     """Halve the box across its longer side; count one half, subtract for the other."""
     x0, x1, y0, y1 = box
@@ -543,7 +581,7 @@ def _split(
             cut = y0 + fraction * (y1 - y0)
             low, high = (x0, x1, y0, cut), (x0, x1, cut, y1)
         try:
-            low_count = _box_count(N, j, low)
+            low_count = _box_count(N, j, low, walked)
         except ArithmeticError:
             continue
         return [(low, low_count), (high, count - low_count)]
@@ -556,6 +594,12 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
     A box around the disk is split until each piece is resolved, after
     Delves and Lyness (Math. Comp. 21, 1967) and Kravanja and Van Barel
     (LNM 1727, 2000).  Counts come from _edge_phase, so they are exact.
+    Each edge is walked at most once per search: the search keeps a map
+    from every walked edge to its certified change of arg, and a box that
+    shares an edge with one counted earlier in the same search reads the
+    change from it (negated when the edge runs the other way; see
+    _box_count).  The map lives for one call, so searches of different
+    (N, j) never share it.
     A box with count 0, or one missing the disk, is dropped.  For j > 0
     the origin is a zero of multiplicity exactly j (H_{N,j}(z) = z^j/j! +
     ...), so a box around it with count j holds nothing else, and the
@@ -575,7 +619,8 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
         _ROOT_CENTRE.imag - half, _ROOT_CENTRE.imag + half,
     )
     zeros: list[complex] = []
-    pending = [(root, _box_count(N, j, root))]
+    walked: _EdgeMap = {}
+    pending = [(root, _box_count(N, j, root, walked))]
     while pending:
         box, count = pending.pop()
         x0, x1, y0, y1 = box
@@ -592,7 +637,7 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
             if z is not None and x0 <= z.real <= x1 and y0 <= z.imag <= y1:
                 zeros.append(z)
                 continue
-        pending.extend(_split(N, j, box, count))
+        pending.extend(_split(N, j, box, count, walked))
     return sorted((z for z in zeros if abs(z) <= radius), key=lambda z: (abs(z), cmath.phase(z)))
 
 

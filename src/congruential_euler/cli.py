@@ -193,6 +193,8 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     target = args.target
     ok = True
     if target == "zeta":
+        if args.n_max < 1:
+            raise ValueError("identities zeta: --n-max must be at least 1")
         for formula in ZetaFormulaId:
             for n in range(1, args.n_max + 1):
                 lhs = formula_reference(formula, n)
@@ -213,6 +215,8 @@ def _cmd_identities(args: argparse.Namespace) -> int:
                     f"{'==' if equal else '!='} {rhs.coefficient}",
                 )
     elif target == "bernoulli":
+        if args.n_max < 0:  # n = 0 has two displays (BernoulliDisplay.min_n)
+            raise ValueError("identities bernoulli: --n-max must be at least 0")
         for formula in BernoulliFormulaId:
             display = BERNOULLI_DISPLAYS[formula]
             for n in range(display.min_n, args.n_max + 1):
@@ -264,6 +268,8 @@ def _cmd_identities(args: argparse.Namespace) -> int:
             print(f"check failed: H_({N},{j}) has certified zeros off the lattice: "
                   + ", ".join(f"{z:.12g}" for z in strays), file=sys.stderr)
     elif target == "special-values":
+        if args.k_max < 1:
+            raise ValueError("identities special-values: --k-max must be at least 1")
         for k in range(1, args.k_max + 1):
             for l in range(6):
                 good = check_special_values(k, l)

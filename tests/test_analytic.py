@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from congruential_euler.analytic import (
     rounding_floor,
     zeta_even,
 )
-from congruential_euler.analytic import _box_count
+from congruential_euler.analytic import _box_count, _edge_phase, _majorant
 from congruential_euler.engine import SeqParams
 
 
@@ -156,6 +157,28 @@ class TestEvalH:
     def test_rejects_huge_argument(self):
         with pytest.raises(ValueError):
             eval_H(2, 0, 800)
+        with pytest.raises(ValueError):
+            _majorant(2, 800)
+
+    def test_cached_roots_give_the_same_doubles(self):
+        # The rounding bound of eval_H is proved for roots of unity built by
+        # cmath.rect at every term; the cached ones must be those very doubles.
+        def reference(N, j, z):
+            total, majorant = 0j, 0.0
+            for k in range(N):
+                root = cmath.rect(1.0, 2.0 * math.pi * k / N)
+                total += cmath.rect(1.0, -2.0 * math.pi * k * j / N) * cmath.exp(root * z)
+                majorant += math.exp((root * z).real)  # left to right, as sum() did before 3.12
+            return total / N, majorant / N
+
+        rng = random.Random(20261019)
+        for _ in range(300):
+            N = rng.randint(1, 12)
+            j = rng.randrange(N)
+            z = cmath.rect(rng.uniform(0.0, 60.0), rng.uniform(-math.pi, math.pi))
+            value, majorant = reference(N, j, z)
+            assert eval_H(N, j, z) == value
+            assert _majorant(N, z) == majorant
 
 
 class TestZeros:
@@ -287,11 +310,71 @@ class TestZeroSearch:
     def test_box_edge_through_a_zero_raises(self):
         # The top edge runs through the cosh zero at i pi/2.
         with pytest.raises(ArithmeticError):
-            _box_count(2, 0, (-1.0, 1.0, -0.5, math.pi / 2))
+            _box_count(2, 0, (-1.0, 1.0, -0.5, math.pi / 2), {})
 
     def test_box_counts(self):
-        assert _box_count(2, 0, (-1.0, 1.0, 1.0, 2.0)) == 1
-        assert _box_count(6, 3, (-1.0, 1.0, -1.0, 1.0)) == 3
+        assert _box_count(2, 0, (-1.0, 1.0, 1.0, 2.0), {}) == 1
+        assert _box_count(6, 3, (-1.0, 1.0, -1.0, 1.0), {}) == 3
+
+    @pytest.mark.parametrize("family, box, count", [
+        ((6, 3), (-1.0, 6.0, -1.0, 8.0), 5),  # the origin (order 3), 2 pi i and (sqrt 3 + i) pi
+        ((4, 2), (-1.0, 4.0, -1.0, 4.0), 3),  # the origin (order 2) and (1 + i) pi
+        ((2, 0), (-1.0, 1.0, 1.0, 2.0), 1),  # i pi / 2
+    ])
+    def test_halves_counted_with_the_parents_edges(self, monkeypatch, family, box, count):
+        N, j = family
+        x0, x1, y0, y1 = box
+        fraction = analytic._SPLIT_FRACTIONS[0]
+        if x1 - x0 >= y1 - y0:
+            cut = x0 + fraction * (x1 - x0)
+            halves = [(x0, cut, y0, y1), (cut, x1, y0, y1)]
+        else:
+            cut = y0 + fraction * (y1 - y0)
+            halves = [(x0, x1, y0, cut), (x0, x1, cut, y1)]
+        fresh = [_box_count(N, j, half, {}) for half in halves]
+        walks = []
+        monkeypatch.setattr(
+            analytic, "_edge_phase", lambda *args: walks.append(args) or _edge_phase(*args)
+        )
+        walked = {}
+        assert _box_count(N, j, box, walked) == count
+        assert [_box_count(N, j, half, walked) for half in halves] == fresh
+        assert sum(fresh) == count
+        # each half shares one outer edge with the box; the second half also
+        # walks the cut of the first backwards: 4 + 3 + 2 walks, not 12
+        assert len(walks) == 9
+
+    @pytest.mark.parametrize("N, j, a, b", [
+        (4, 2, complex(-1.0, -1.0), complex(4.0, 3.0)),
+        (6, 3, complex(-2.5, 7.0), complex(6.0, 0.5)),
+        (9, 8, complex(17.0, 0.3), complex(-2.0, -16.0)),
+    ])
+    def test_an_edge_walked_back_undoes_its_change_of_arg(self, N, j, a, b):
+        forward = _edge_phase(N, j, a, b)
+        assert abs(forward) > 0.1
+        assert abs(forward + _edge_phase(N, j, b, a)) < 1e-9
+
+    def test_searches_share_no_walked_edges(self, monkeypatch):
+        walks = []  # one list of _edge_phase calls per search
+        monkeypatch.setattr(
+            analytic, "_edge_phase", lambda *args: walks[-1].append(args) or _edge_phase(*args)
+        )
+        radius = 2.5 * math.pi
+        half = radius + analytic._ROOT_MARGIN
+        x0, x1 = analytic._ROOT_CENTRE.real - half, analytic._ROOT_CENTRE.real + half
+        y0, y1 = analytic._ROOT_CENTRE.imag - half, analytic._ROOT_CENTRE.imag + half
+        corners = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
+        root_edges = set(zip(corners, corners[1:] + corners[:1]))
+        families, found = ((4, 0), (4, 2), (4, 0)), []
+        for family in families:
+            walks.append([])
+            found.append(find_zeros_in_disk(*family, radius))
+        assert [len(zeros) for zeros in found] == [8, 5, 8] and found[2] == found[0]
+        for family, search in zip(families, walks):
+            assert {(N, j) for N, j, *_ in search} == {family}
+            edges = [(a, b) for *_, a, b in search]
+            assert root_edges <= set(edges)  # the root box is walked afresh
+            assert len(set(edges) | {(b, a) for a, b in edges}) == 2 * len(edges)  # none twice
 
     def test_radius_beyond_exp_range(self):
         with pytest.raises(ValueError, match="exp range"):
@@ -312,3 +395,13 @@ class TestRatioRadius:
     def test_rejects_small_window(self):
         with pytest.raises(ValueError):
             ratio_radius(SeqParams(2, 0), 5)
+
+    @pytest.mark.parametrize("family", [(3, 0), (4, 2), (5, 0), (7, 3)])
+    def test_matches_the_nearest_ring_of_certified_zeros(self, family):
+        N, j = family
+        found = [z for z in find_zeros_in_disk(N, j, 3 * math.pi) if z != 0]
+        nearest = min(abs(z) for z in found)
+        ring = [abs(z) / math.pi for z in found if abs(z) < nearest * (1 + 1e-9)]
+        assert len(ring) == N
+        estimate = ratio_radius(SeqParams(N, j), 40)
+        assert all(abs(modulus - estimate) <= 1e-12 * estimate for modulus in ring)

@@ -377,6 +377,16 @@ class TestIdentities:
         assert code == 0
         assert all(json.loads(line)["equal"] for line in out.splitlines())
 
+    @pytest.mark.parametrize("argv, message", [
+        (["zeta", "--n-max", "0"], "identities zeta: --n-max must be at least 1"),
+        (["special-values", "--k-max", "0"], "identities special-values: --k-max must be at least 1"),
+        (["bernoulli", "--n-max", "-1"], "identities bernoulli: --n-max must be at least 0"),
+    ])
+    def test_empty_range_exit_2_naming_the_option(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "identities", *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("fmt", ("text", "tsv", "json"))
     @pytest.mark.parametrize("family", analytic.ZERO_FAMILIES, ids=lambda f: f"{f[0]},{f[1]}")
     def test_zeros(self, capsys, tmp_path, family, fmt):
