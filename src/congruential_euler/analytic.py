@@ -354,21 +354,16 @@ def eval_H(N: int, j: int, z: complex) -> complex:
     return _evaluate(N, j, z)[0]
 
 
-def _majorant(N: int, z: complex) -> float:
-    """M(z) = (1/N) sum_k exp(Re(zeta_N^k z)), which bounds every |H_{N,m}(z)|."""
-    return _evaluate(N, 0, z)[1]
-
-
-def rounding_floor(N: int, z: complex, majorant: float | None = None) -> float:
+def rounding_floor(N: int, z: complex, majorant: float) -> float:
     """64 (N + |z| + 2) eps M(z), four times the rounding bound of eval_H.
 
     A computed |H_{N,j}(z)| below this floor cannot be told apart from
     zero.  It exceeds the rounding of eval_H at z plus that at a point up
     to 1/2 away plus the rounding of the derivative bound (see
-    _edge_phase).  Pass ``majorant`` when M(z) is already known.
+    _edge_phase).  ``majorant`` is M(z), read from the evaluation at z
+    that the caller has made: _evaluate returns it next to H, and M does
+    not depend on j.
     """
-    if majorant is None:
-        majorant = _majorant(N, z)
     return 64.0 * (N + abs(z) + 2.0) * sys.float_info.epsilon * majorant
 
 
@@ -412,13 +407,14 @@ def locate_zero(N: int, j: int, guess: complex, tol: float = 1e-12) -> complex:
     The derivative uses the index-shift rule H_{N,j}' = H_{N,j-1} (with
     j = 0 wrapping to N-1).  The iterate is returned once its residual is
     below ``tol``, or once the step has stalled and the residual is below
-    max(tol, rounding_floor(N, z)): beyond |z| of about 18 the rounding of
-    eval_H alone exceeds any fixed tolerance.  Raises if neither holds
+    max(tol, rounding_floor(N, z, M(z))): beyond |z| of about 18 the
+    rounding of eval_H alone exceeds any fixed tolerance.  H and M come
+    from one _evaluate pass at each iterate.  Raises if neither holds
     after _NEWTON_STEPS steps, reporting the last iterate.
     """
     z = complex(guess)
     j_prime = (j - 1) % N
-    value = eval_H(N, j, z)
+    value, majorant = _evaluate(N, j, z)
     residual = abs(value)
     for _ in range(_NEWTON_STEPS):
         if residual < tol:
@@ -428,11 +424,12 @@ def locate_zero(N: int, j: int, guess: complex, tol: float = 1e-12) -> complex:
             raise ArithmeticError(f"locate_zero: zero derivative at {z}")
         step = value / derivative
         z -= step
-        value = eval_H(N, j, z)
+        value, majorant = _evaluate(N, j, z)
         residual = abs(value)
-        if abs(step) < 1e-15 * max(1.0, abs(z)) and residual < max(tol, rounding_floor(N, z)):
+        stalled = abs(step) < 1e-15 * max(1.0, abs(z))
+        if stalled and residual < max(tol, rounding_floor(N, z, majorant)):
             return z
-    if residual < max(tol, rounding_floor(N, z)):
+    if residual < max(tol, rounding_floor(N, z, majorant)):
         return z
     raise ArithmeticError(f"locate_zero: no convergence, last iterate {z} (|H|={residual:.3e})")
 
@@ -487,12 +484,14 @@ def _edge_phase(N: int, j: int, a: complex, b: complex) -> float:
     both); and the Taylor series sum_n w^(Nn+m)/(Nn+m)! gives |H'(w)| <=
     r^m/m! e^r with r = |p| + h (_taylor_bound), which is far smaller near
     the origin, where H has a zero of order j.
-    With B the smaller bound, |H(w) - H(p)| <= h B on the disk.  A piece is
+    With B either bound, |H(w) - H(p)| <= h B on the disk.  A piece is
     accepted when the computed value Hc(p) satisfies |Hc(p)| > h B + F(p),
-    F = rounding_floor; otherwise it is halved.  As h <= 1/2, M(p + h) <=
-    1.65 M(p), and by the rounding bound of eval_H, F(p) exceeds the
-    rounding error at p plus that at the piece's end plus the rounding of
-    h B itself.  Hence:
+    F = rounding_floor, first with the majorant bound and, only if that
+    fails, with the Taylor bound; otherwise it is halved.  As h > 0 and
+    rounding is monotone, this accepts exactly when h times the smaller
+    bound would.  As h <= 1/2, M(p + h) <= 1.65 M(p), and by the rounding
+    bound of eval_H, F(p) exceeds the rounding error at p plus that at the
+    piece's end plus the rounding of h B itself.  Hence:
 
     1. |H(w)| >= |H(p)| - h B > 0 on the closed disk of radius h about p:
        H has no zero on or near the piece.
@@ -522,8 +521,8 @@ def _edge_phase(N: int, j: int, a: complex, b: complex) -> float:
         room = abs(value) - rounding_floor(N, point, majorant)
         h = min(length - done, 0.5)
         while True:
-            bound = min(majorant * math.exp(h), _taylor_bound(m, abs(point) + h))
-            if h * bound < room:
+            if (h * (majorant * math.exp(h)) < room
+                    or h * _taylor_bound(m, abs(point) + h) < room):
                 break
             h /= 2.0
             if h < 1e-9 * max(1.0, abs(point)):

@@ -1,14 +1,17 @@
 """Command-line front end: compute tables, verify congruences, scan periods.
 
 Exit codes: 0 when every requested check passes, 1 when a mathematical
-check fails, 2 for usage or parameter errors.  Results go to stdout;
-progress chatter goes to stderr only, so output can be piped.
+check fails, 2 for usage or parameter errors, 141 (128 + SIGPIPE) when the
+reader closes stdout early.  Results go to stdout; progress chatter goes
+to stderr only, so output can be piped.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import os
 import re
 import sys
@@ -17,6 +20,7 @@ from typing import Optional
 
 from . import congruences
 from .analytic import (
+    _EXP_LIMIT,
     _SEARCH_REACH,
     BERNOULLI_DISPLAYS,
     ZERO_FAMILIES,
@@ -144,7 +148,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if mode is not None and extra:
         raise ValueError(f"scan: {extra[0]} does not apply with {mode}")
     if args.appendix_b:
-        outcomes = run_reference_scan(progress=True)
+        outcomes = run_reference_scan()
         results, ok = [o.result for o in outcomes], all(o.matches for o in outcomes)
     else:
         if args.grid is not None:
@@ -270,6 +274,10 @@ def _cmd_identities(args: argparse.Namespace) -> int:
     elif target == "special-values":
         if args.k_max < 1:
             raise ValueError("identities special-values: --k-max must be at least 1")
+        if 2.0 * args.k_max * math.pi > _EXP_LIMIT:  # the largest |z| checked is 2 k pi
+            raise ValueError(f"identities special-values: --k-max {args.k_max} needs H at "
+                             f"|z| = {2.0 * args.k_max * math.pi:.1f}, past its reach of "
+                             f"{_EXP_LIMIT:.1f}")
         for k in range(1, args.k_max + 1):
             for l in range(6):
                 good = check_special_values(k, l)
@@ -414,7 +422,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # point the descriptor at devnull, so that the interpreter's last flush is silent
+        with contextlib.suppress(OSError, ValueError):  # an in-process stdout may have none
+            stdout = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stdout)
+            os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

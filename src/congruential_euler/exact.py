@@ -135,10 +135,6 @@ def residue_mod_prime_power(x: Rational, p: int, r: int) -> int:
     return (x.numerator % modulus) * pow(x.denominator % modulus, -1, modulus) % modulus
 
 
-def _coerce(values: Sequence[Rational]) -> tuple[Fraction, ...]:
-    return tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values)
-
-
 @dataclass(frozen=True)
 class EgfSeries:
     """Truncated exponential generating function sum a_n z^n/n!.
@@ -156,7 +152,7 @@ class EgfSeries:
 
     @staticmethod
     def from_coeffs(values: Sequence[Rational]) -> "EgfSeries":
-        return EgfSeries(_coerce(values))
+        return EgfSeries(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values))
 
     @staticmethod
     def constant(value: Rational, order: int) -> "EgfSeries":

@@ -93,11 +93,8 @@ class PeriodScanResult:
     def mp(self) -> int:
         return self.m * self.p
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def scan_conjecture(
@@ -146,13 +143,9 @@ def scan_conjecture(
     )
 
 
-def _sorted_results(results: Iterable[PeriodScanResult]) -> list[PeriodScanResult]:
-    return sorted(results, key=lambda s: (s.p, s.mp, s.j, s.r))
-
-
-def emit_table(results: Iterable[PeriodScanResult], format: str = "text") -> str:
-    """Render scan results as text (published-table columns), TSV, or JSON lines."""
-    rows = _sorted_results(results)
+def emit_table(results: Iterable[PeriodScanResult], format: str) -> str:
+    """Render scan results sorted by (p, mp, j, r): text (published-table columns), TSV, JSON lines."""
+    rows = sorted(results, key=lambda s: (s.p, s.mp, s.j, s.r))
     if format == "json":
         return "\n".join(r.to_json() for r in rows)
     if format == "tsv":
@@ -245,32 +238,16 @@ class ReferenceOutcome:
     row: ReferenceRow
     result: PeriodScanResult
     matches: bool
-    companions: list[PeriodScanResult] = field(default_factory=list)
-
-    def annotation(self) -> str:
-        parts = []
-        if self.row.note:
-            parts.append(self.row.note)
-        if self.matches:
-            parts.append("reproduced")
-        else:
-            parts.append(
-                f"published (n0={self.row.published_n0}, period={self.row.published_period}) "
-                f"vs computed (n0={self.result.n0}, period={self.result.period_index})"
-            )
-        for extra in self.companions:
-            parts.append(
-                f"companion scan (mp,j)=({extra.mp},{extra.j}) r={extra.r}: "
-                f"n0={extra.n0} period={extra.period_index}"
-            )
-        return "; ".join(parts)
+    companions: list[PeriodScanResult]
 
 
 def _reference_outcome(row: ReferenceRow) -> ReferenceOutcome:
     """Scan the row and its companion; swap them only if the companion alone matches.
 
     Each scan is compared with the printed (n0, period) once; the outcome
-    matches when either scan does, since a lone companion match is swapped in.
+    matches when either scan does, since a lone companion match is swapped
+    in.  The reported scan's note joins the row's note, the comparison and
+    one line per companion scan.
     """
     printed = (row.published_n0, row.published_period)
     scans = [scan_conjecture(row.p, row.mp // row.p, row.j, row.r)]
@@ -278,23 +255,29 @@ def _reference_outcome(row: ReferenceRow) -> ReferenceOutcome:
     hits = [(scan.n0, scan.period_index) == printed for scan in scans]
     swap = hits == [False, True]
     result, *companions = scans[::-1] if swap else scans
-    outcome = ReferenceOutcome(row, result, any(hits), companions)
-    result.note = outcome.annotation() + (f"; matched by r={result.r} scan" if swap else "")
-    return outcome
+    parts = [row.note] if row.note else []
+    if any(hits):
+        parts.append("reproduced")
+    else:
+        parts.append(f"published (n0={row.published_n0}, period={row.published_period}) "
+                     f"vs computed (n0={result.n0}, period={result.period_index})")
+    parts += [f"companion scan (mp,j)=({extra.mp},{extra.j}) r={extra.r}: "
+              f"n0={extra.n0} period={extra.period_index}" for extra in companions]
+    result.note = "; ".join(parts) + (f"; matched by r={result.r} scan" if swap else "")
+    return ReferenceOutcome(row, result, any(hits), companions)
 
 
-def run_reference_scan(progress: bool = False) -> list[ReferenceOutcome]:
+def run_reference_scan() -> list[ReferenceOutcome]:
     """Scan every published row (plus the disambiguation companions).
 
     Returns outcomes in the printed row order; progress goes to stderr only.
     """
     outcomes = []
     for row in REFERENCE_ROWS:
-        if progress:
-            print(
-                f"scanning (mp,j)=({row.mp},{row.j}) p={row.p} r={row.r} ...",
-                file=sys.stderr,
-                flush=True,
-            )
+        print(
+            f"scanning (mp,j)=({row.mp},{row.j}) p={row.p} r={row.r} ...",
+            file=sys.stderr,
+            flush=True,
+        )
         outcomes.append(_reference_outcome(row))
     return outcomes

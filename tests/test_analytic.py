@@ -1,6 +1,7 @@
 """Tests for the exact identity checks and the floating zero machinery."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -31,7 +32,7 @@ from congruential_euler.analytic import (
     rounding_floor,
     zeta_even,
 )
-from congruential_euler.analytic import _box_count, _edge_phase, _majorant
+from congruential_euler.analytic import _box_count, _edge_phase, _evaluate, _taylor_bound
 from congruential_euler.engine import SeqParams
 
 
@@ -158,7 +159,7 @@ class TestEvalH:
         with pytest.raises(ValueError):
             eval_H(2, 0, 800)
         with pytest.raises(ValueError):
-            _majorant(2, 800)
+            _evaluate(2, 0, 800)
 
     def test_cached_roots_give_the_same_doubles(self):
         # The rounding bound of eval_H is proved for roots of unity built by
@@ -178,7 +179,7 @@ class TestEvalH:
             z = cmath.rect(rng.uniform(0.0, 60.0), rng.uniform(-math.pi, math.pi))
             value, majorant = reference(N, j, z)
             assert eval_H(N, j, z) == value
-            assert _majorant(N, z) == majorant
+            assert _evaluate(N, j, z) == (value, majorant)
 
 
 class TestZeros:
@@ -226,7 +227,7 @@ class TestZeros:
             target = predicted_zero(family, k, l)
             z = locate_zero(N, j, target + 0.1 + 0.05j)
             assert abs(z - target) < 1e-13 * abs(target)
-            assert abs(eval_H(N, j, z)) < rounding_floor(N, z)
+            assert abs(eval_H(N, j, z)) < rounding_floor(N, z, _evaluate(N, j, z)[1])
 
 
 class TestSpecialValues:
@@ -305,7 +306,7 @@ class TestZeroSearch:
         radius = 5.3 * math.pi
         found = find_zeros_in_disk(N, j, radius)
         assert len(found) - (1 if j > 0 else 0) + j == _winding_on_circle(N, j, radius)
-        assert all(abs(eval_H(N, j, z)) < rounding_floor(N, z) for z in found)
+        assert all(abs(eval_H(N, j, z)) < rounding_floor(N, z, _evaluate(N, j, z)[1]) for z in found)
 
     def test_box_edge_through_a_zero_raises(self):
         # The top edge runs through the cosh zero at i pi/2.
@@ -375,6 +376,52 @@ class TestZeroSearch:
             edges = [(a, b) for *_, a, b in search]
             assert root_edges <= set(edges)  # the root box is walked afresh
             assert len(set(edges) | {(b, a) for a, b in edges}) == 2 * len(edges)  # none twice
+
+    def test_majorant_bound_first_takes_the_same_decisions(self):
+        # _edge_phase tries h M(p) e^h before the Taylor bound; a piece must
+        # be accepted exactly when h times the smaller of the two bounds fits.
+        def smaller_bound_first(N, j, a, b):
+            m = (j - 1) % N
+            length = abs(b - a)
+            direction = (b - a) / length
+            done, total = 0.0, 0.0
+            value, majorant = _evaluate(N, j, a)
+            while done < length:
+                point = a + done * direction
+                room = abs(value) - rounding_floor(N, point, majorant)
+                h = min(length - done, 0.5)
+                while h * min(majorant * math.exp(h), _taylor_bound(m, abs(point) + h)) >= room:
+                    h /= 2.0
+                    if h < 1e-9 * max(1.0, abs(point)):
+                        raise ArithmeticError("no certified piece")
+                done = length if h == length - done else done + h
+                end = b if done >= length else a + done * direction
+                following, majorant = _evaluate(N, j, end)
+                total += cmath.phase(following / value)
+                value = following
+            return total
+
+        def outcome(walk, *args):
+            try:
+                return walk(*args)
+            except ArithmeticError:
+                return "raises"
+
+        rng = random.Random(17)
+        segments = []
+        for _ in range(500):
+            N = rng.randint(1, 12)
+            a = cmath.rect(rng.uniform(0.0, 60.0), rng.uniform(-math.pi, math.pi))
+            b = a + cmath.rect(rng.uniform(0.1, 8.0), rng.uniform(-math.pi, math.pi))
+            segments.append((N, rng.randrange(N), a, b, False))
+        for family, k, l in itertools.product(ZERO_FAMILIES, (1, 2), range(4)):
+            # a segment across a closed-form zero: no piece can be certified
+            zero, step = predicted_zero(family, k, l), cmath.rect(rng.uniform(0.1, 4.0), l + k)
+            segments.append((*family, zero - step, zero + step, True))
+        for N, j, a, b, through_a_zero in segments:
+            expected = outcome(smaller_bound_first, N, j, a, b)
+            assert outcome(_edge_phase, N, j, a, b) == expected
+            assert expected == "raises" or not through_a_zero
 
     def test_radius_beyond_exp_range(self):
         with pytest.raises(ValueError, match="exp range"):

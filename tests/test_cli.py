@@ -1,6 +1,11 @@
 """End-to-end tests for the command-line interface and its exit codes."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -492,6 +497,14 @@ class TestIdentities:
         )
         assert code == 0
 
+    def test_special_values_past_the_exp_range_exit_2_before_any_row(self, capsys, tmp_path):
+        args = ("--cache-dir", str(tmp_path), "identities", "special-values", "--k-max")
+        code, out, err = run(capsys, *args, "112")  # 2 * 112 * pi > 700
+        assert (code, out) == (2, "")
+        assert err.startswith("error: identities special-values: --k-max 112 needs H at |z| = 703.7")
+        code, out, _ = run(capsys, *args, "111")
+        assert code == 0 and len(out.splitlines()) == 111 * 6
+
 
 class TestCache:
     @pytest.mark.parametrize("action", ("inspect", "clear"))
@@ -570,3 +583,32 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as excinfo:
         main(["bogus-subcommand"])
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("n_max, lines_read", [
+    ("400", 1),  # 341 KB of rows, far past a pipe buffer: the writes after the first line fail
+    ("3", 0),  # closed before anything is written: the final flush fails
+])
+def test_a_closed_stdout_exits_141_without_a_message(n_max, lines_read):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)  # a block-buffered stdout, as in a plain shell
+    argv = [sys.executable, "-m", "congruential_euler.cli", "--format", "json", "compute",
+            "--N", "2", "--j", "0", "--n-max", n_max, "--no-cache"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        lines = [proc.stdout.readline() for _ in range(lines_read)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert lines == [b'{"n": 0, "value": "1/1"}\n'][:lines_read]
+    assert (code, err) == (141, b"")
+
+
+def test_a_closed_in_process_stdout_without_a_descriptor_exits_141(monkeypatch, tmp_path):
+    class ClosedPipe(io.StringIO):  # fileno() raises io.UnsupportedOperation
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["--cache-dir", str(tmp_path), "compute", "--N", "2", "--j", "0",
+                 "--n-max", "3", "--no-cache"]) == 141
