@@ -63,9 +63,6 @@ class PiPolynomial:
         if self.degree < 2 or self.degree % 2 != 0:
             raise ValueError("PiPolynomial: degree must be even and at least 2")
 
-    def __float__(self) -> float:
-        return float(self.coefficient) * math.pi**self.degree
-
 
 class ZetaFormulaId(Enum):
     """The eight displayed zeta/lambda evaluations, keyed by source sequence."""
@@ -113,16 +110,6 @@ def lambda_even(k: int) -> PiPolynomial:
         raise ValueError("lambda_even: k must be even and at least 2")
     base = zeta_even(k)
     return PiPolynomial(k, base.coefficient * (1 - Fraction(1, 2**k)))
-
-
-def _display_sum(display: BernoulliDisplay, n: int) -> Fraction:
-    """sum_{m=0}^{upper(n)} C(top(n), Nm) E_{Nm}^{(N,j)}: the sum a display multiplies."""
-    params = SeqParams(*display.params)
-    total = Fraction(0)
-    weights = binomial_row(display.top(n), range(0, params.N * display.upper(n) + 1, params.N))
-    for m, weight in enumerate(weights):
-        total += weight * euler_number(params, m)
-    return total
 
 
 @dataclass(frozen=True)
@@ -210,64 +197,58 @@ def check_zeta_identity(formula: ZetaFormulaId, n: int) -> bool:
 
 @dataclass(frozen=True)
 class BernoulliDisplay:
-    """One Bernoulli display B_{index(n)} = prefactor(n) * sum; valid for n >= min_n."""
+    """One Bernoulli display B_{index(n)} = prefactor(n) * _display_sum(display, n).
+
+    Every display of the paper has the subscript index(n) = N n - offset
+    and sums over t = index(n) + j - 1 (see _display_sum), so (N, j) and
+    the offset fix the whole display but its prefactor.  The prefactor is
+    transcribed from the print, so the check still tests the printed
+    display.  The display holds for n >= min_n, the least n >= 0 with
+    index(n) >= 0 and t >= 0.
+    """
 
     params: tuple[int, int]
-    index: Callable[[int], int]  # subscript of the Bernoulli number
+    offset: int
     prefactor: Callable[[int], Fraction]
-    top: Callable[[int], int]  # binomial top index
-    upper: Callable[[int], int]  # inclusive upper summation bound
-    min_n: int
+
+    def index(self, n: int) -> int:
+        """Subscript of the Bernoulli number the display gives at n."""
+        return self.params[0] * n - self.offset
+
+    @property
+    def min_n(self) -> int:
+        """The least n >= 0 with N n >= offset and N n >= offset + 1 - j."""
+        N, j = self.params
+        return -(-(self.offset + max(0, 1 - j)) // N)
+
+
+def _display_sum(display: BernoulliDisplay, n: int) -> Fraction:
+    """The sum every display multiplies: sum_{Nm <= t} C(t, Nm) E_{Nm}, t = index(n) + j - 1."""
+    params = SeqParams(*display.params)
+    top = display.index(n) + params.j - 1
+    weights = binomial_row(top, range(0, top + 1, params.N))
+    return sum((weight * euler_number(params, m) for m, weight in enumerate(weights)), Fraction(0))
 
 
 BERNOULLI_DISPLAYS = {
     BernoulliFormulaId.b4n_via_40: BernoulliDisplay(
-        (4, 0),
-        lambda n: 4 * n,
-        lambda n: Fraction((-1) ** n * 2 * n, 2 ** (2 * n) * (2 ** (4 * n) - 1)),
-        lambda n: 4 * n - 1,
-        lambda n: n - 1,
-        1,
+        (4, 0), 0, lambda n: Fraction((-1) ** n * 2 * n, 2 ** (2 * n) * (2 ** (4 * n) - 1))
     ),
     BernoulliFormulaId.b4n2_via_40: BernoulliDisplay(
-        (4, 0),
-        lambda n: 4 * n - 2,
+        (4, 0), 2,
         lambda n: Fraction((-1) ** (n + 1) * (4 * n - 2), 2 ** (2 * n) * (2 ** (4 * n - 2) - 1)),
-        lambda n: 4 * n - 3,
-        lambda n: n - 1,
-        1,
     ),
     BernoulliFormulaId.b4n_via_42: BernoulliDisplay(
-        (4, 2),
-        lambda n: 4 * n,
-        lambda n: Fraction((-1) ** n, 2 ** (2 * n + 1) * (4 * n + 1)),
-        lambda n: 4 * n + 1,
-        lambda n: n,
-        0,
+        (4, 2), 0, lambda n: Fraction((-1) ** n, 2 ** (2 * n + 1) * (4 * n + 1))
     ),
     BernoulliFormulaId.b4n2_via_42: BernoulliDisplay(
-        (4, 2),
-        lambda n: 4 * n - 2,
-        lambda n: Fraction((-1) ** (n + 1), 2 ** (2 * n) * (4 * n - 1)),
-        lambda n: 4 * n - 1,
-        lambda n: n - 1,
-        1,
+        (4, 2), 2, lambda n: Fraction((-1) ** (n + 1), 2 ** (2 * n) * (4 * n - 1))
     ),
     BernoulliFormulaId.b6n_via_63: BernoulliDisplay(
-        (6, 3),
-        lambda n: 6 * n,
-        lambda n: Fraction(1, 3 * (6 * n + 1) * (6 * n + 2)),
-        lambda n: 6 * n + 2,
-        lambda n: n,
-        0,
+        (6, 3), 0, lambda n: Fraction(1, 3 * (6 * n + 1) * (6 * n + 2))
     ),
     BernoulliFormulaId.b6n4_via_63: BernoulliDisplay(
-        (6, 3),
-        lambda n: 6 * n - 4,
-        lambda n: Fraction(1, 3 * (6 * n - 2) * (6 * n - 3)),
-        lambda n: 6 * n - 2,
-        lambda n: n - 1,
-        1,
+        (6, 3), 4, lambda n: Fraction(1, 3 * (6 * n - 2) * (6 * n - 3))
     ),
 }
 
@@ -296,7 +277,6 @@ _LATTICE = {
 }
 ZERO_FAMILIES = tuple(_LATTICE)
 _MATCH_TOL = 1e-9  # a certified zero this close to a lattice point is that point's zero
-_SPECIAL_REL_TOL = 1e-8  # relative tolerance of each check_special_values cross-relation
 
 _EXP_LIMIT = 700.0  # beyond this, exp overflows doubles
 _NEWTON_STEPS = 50  # locate_zero gives up after this many Newton steps
@@ -374,13 +354,13 @@ def predicted_zero(family: tuple[int, int], k: int, l: int) -> complex:
     (1+i) k pi, and the (6, 3) zeros at (sqrt(3)+i) k pi (see _LATTICE),
     each rotated by the N-th roots of unity (index l).
     """
+    if family not in _LATTICE:
+        raise ValueError(f"predicted_zero: unknown family {family}")
     if k < 1:
         raise ValueError("predicted_zero: k must be positive")
     N = family[0]
     if not 0 <= l < N:
         raise ValueError(f"predicted_zero: need 0 <= l < {N}")
-    if family not in _LATTICE:
-        raise ValueError(f"predicted_zero: unknown family {family}")
     direction, offset = _LATTICE[family]
     return direction * (k - offset) * math.pi * cmath.rect(1.0, 2.0 * math.pi * l / N)
 
@@ -434,34 +414,57 @@ def locate_zero(N: int, j: int, guess: complex, tol: float = 1e-12) -> complex:
     raise ArithmeticError(f"locate_zero: no convergence, last iterate {z} (|H|={residual:.3e})")
 
 
+# At every zero z_{k,l} of ``family``, 0 <= l < N: H_{N,a}(z) = factor(l) * H_{N,b}(z).
+_SPECIAL_VALUES = (
+    ((4, 0), 1, 3, lambda l: cmath.rect(1.0, math.pi * (2 * l + 3) / 2.0)),  # i^(2l+3)
+    ((4, 2), 3, 1, lambda l: cmath.rect(1.0, math.pi * (2 * l + 3) / 2.0)),  # i^(2l+3)
+    ((6, 3), 4, 2, lambda l: cmath.rect(1.0, 2.0 * math.pi * (l - 1) / 3.0)),  # zeta_6^(2(l-1))
+)
+
+
 def check_special_values(k: int, l: int) -> bool:
-    """Cross-relations of H values at the closed-form zeros.
+    """Cross-relations of H values at the closed-form zeros: each row of _SPECIAL_VALUES.
 
     At z_{k,l} of the (4,0) family, H_{4,1} = i^{2l+3} H_{4,3}; at z_{k,l}
     of the (4,2) family, H_{4,3} = i^{2l+3} H_{4,1}; at z_{k,l} of the
-    (6,3) family (0 <= l < 6), H_{6,4} = zeta_6^{2(l-1)} H_{6,2}.  Checks
-    every relation whose l-range admits l, to relative tolerance _SPECIAL_REL_TOL.
+    (6,3) family, H_{6,4} = zeta_6^{2(l-1)} H_{6,2}.  Each row is checked
+    when l < N.  A relation H_a = f H_b holds when the computed
+    |H_a - f H_b| at the computed zero z is below F = rounding_floor(N, z,
+    M), with H_a and M = M(z) from one _evaluate call.
+
+    F covers every error of a true relation.  In units of eps M (eps the
+    double epsilon, u = eps/2, |z| <= 2 k pi <= 700):
+
+    1. The zero.  predicted_zero rounds sqrt(3) (0.87u relative), the
+       product with k - offset (u), the product with math.pi (1.35u), the
+       root of unity (its angle below 2 pi carries 2.35u relative error,
+       cos and sin 2u more: 16.8u) and one complex product (sqrt(5) u), so
+       the computed z lies within |dz| <= 23u |z| of the true zero.  There
+       H_a - f H_b vanishes, and its derivative H_{a-1} - f H_{b-1} is at
+       most 2 M(w) <= 2 M e^{|dz|} on the segment: 23 |z| (1 + 1e-11).
+    2. The two evaluations: 16 (N + |z| + 1) each, by the rounding bound
+       of eval_H; 32 (N + |z| + 1) in all.
+    3. The factor: its angle is below 9 pi/2 with relative error 2.35u,
+       and cos and sin add 2u, so it is off by at most 22u = 11 eps;
+       times |H_b| <= M (1 + 1e-10): 11.01.
+    4. The product (sqrt(5) u), the difference and abs round by at most
+       9u of 2 M: 9.
+
+    The sum, 32 N + 55 |z| + 53, is below 64 (N + |z| + 2) with room for
+    the rounding of F and of M itself (relative 1e-11, as each exponent
+    is off by at most 25u |z|).  So a true relation always passes, and a
+    false one fails wherever |H_a| or |f H_b| is far above F.  Beyond
+    |z| = 700 (k >= 112) _evaluate raises ValueError.
     """
-    if k < 1 or l < 0:
-        raise ValueError("check_special_values: need k >= 1 and l >= 0")
-    if l >= 6:
-        raise ValueError("check_special_values: l out of range for every family")
-    if 2.0 * k * math.pi > _EXP_LIMIT:  # the largest |z| checked is 2 k pi
-        raise ValueError("check_special_values: k out of double-precision range")
-    checks = []
-    if l < 4:
-        z = predicted_zero((4, 0), k, l)
-        factor = cmath.rect(1.0, math.pi * (2 * l + 3) / 2.0)  # i^(2l+3)
-        checks.append((eval_H(4, 1, z), factor * eval_H(4, 3, z)))
-        z = predicted_zero((4, 2), k, l)
-        checks.append((eval_H(4, 3, z), factor * eval_H(4, 1, z)))
-    z = predicted_zero((6, 3), k, l)
-    factor = cmath.rect(1.0, 2.0 * math.pi * (l - 1) / 3.0)  # zeta_6^(2(l-1))
-    checks.append((eval_H(6, 4, z), factor * eval_H(6, 2, z)))
-    for lhs, rhs in checks:
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        if abs(lhs - rhs) > _SPECIAL_REL_TOL * scale:
-            return False
+    if k < 1 or not 0 <= l < 6:
+        raise ValueError("check_special_values: need k >= 1 and 0 <= l < 6")
+    for family, a, b, factor in _SPECIAL_VALUES:
+        N = family[0]
+        if l < N:
+            z = predicted_zero(family, k, l)
+            value, majorant = _evaluate(N, a, z)
+            if not abs(value - factor(l) * eval_H(N, b, z)) < rounding_floor(N, z, majorant):
+                return False
     return True
 
 

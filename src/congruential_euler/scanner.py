@@ -30,6 +30,7 @@ __all__ = [
     "emit_table",
     "ReferenceRow",
     "REFERENCE_ROWS",
+    "ReferenceOutcome",
     "run_reference_scan",
 ]
 

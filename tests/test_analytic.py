@@ -10,6 +10,7 @@ import pytest
 
 from congruential_euler import analytic
 from congruential_euler.analytic import (
+    BERNOULLI_DISPLAYS,
     ZERO_FAMILIES,
     BernoulliFormulaId,
     PiPolynomial,
@@ -70,7 +71,10 @@ class TestZetaLambda:
             PiPolynomial(0, Fraction(1))
 
     def test_float_value(self):
-        assert math.isclose(float(zeta_even(2)), math.pi**2 / 6)
+        for k in (4, 6, 8):  # the series' tail past 10^4 is below 1e-12
+            value = zeta_even(k)
+            series = math.fsum(m ** -float(k) for m in range(1, 10**4))
+            assert math.isclose(float(value.coefficient) * math.pi**value.degree, series, rel_tol=1e-9)
 
 
 class TestZetaDisplays:
@@ -131,6 +135,11 @@ class TestBernoulliDisplays:
     def test_range_validation(self):
         with pytest.raises(ValueError, match="at least 1"):
             bernoulli_formula_value(BernoulliFormulaId.b4n_via_40, 0)
+
+    def test_least_n_from_the_shared_sum(self):
+        # the least n with index(n) >= 0 and a binomial top index(n) + j - 1 >= 0
+        assert [BERNOULLI_DISPLAYS[f].min_n for f in BernoulliFormulaId] == [1, 1, 0, 1, 0, 1]
+        assert [BERNOULLI_DISPLAYS[f].index(2) for f in BernoulliFormulaId] == [8, 6, 8, 6, 12, 8]
 
 
 class TestEvalH:
@@ -213,6 +222,11 @@ class TestZeros:
                     scale = max(1.0, abs(cmath.exp(abs(z))))
                     assert abs(eval_H(N, j, z)) / scale < 1e-12
 
+    @pytest.mark.parametrize("family,k,l", [((0, 0), 1, 0), ((5, 0), 1, 7), ((), 1, 0)])
+    def test_unknown_family_is_named(self, family, k, l):
+        with pytest.raises(ValueError, match=r"unknown family"):
+            predicted_zero(family, k, l)
+
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(analytic, "_NEWTON_STEPS", 2)
         with pytest.raises(ArithmeticError):
@@ -247,6 +261,18 @@ class TestSpecialValues:
         assert check_special_values(1, 1)
         assert check_special_values(2, 3)
         assert check_special_values(1, 5)
+
+    def test_every_zero_in_the_exp_range(self):
+        assert all(check_special_values(k, l) for k in range(1, 112) for l in range(6))
+
+    @pytest.mark.parametrize("row", range(3))
+    def test_a_negated_factor_fails(self, monkeypatch, row):
+        rows = list(analytic._SPECIAL_VALUES)
+        family, a, b, factor = rows[row]
+        rows[row] = (family, a, b, lambda l: -factor(l))
+        monkeypatch.setattr(analytic, "_SPECIAL_VALUES", tuple(rows))
+        assert not check_special_values(1, 0)
+        assert not check_special_values(111, family[0] - 1)
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
