@@ -693,4 +693,9 @@ def ratio_radius(params: SeqParams, n_max: int) -> float:
     if numerator == 0 or denominator == 0:
         raise ValueError("ratio_radius: zero sequence value encountered")
     ratio = abs(numerator / denominator) * perm(N * (n_max + 1), N)  # (N(n+1))! / (Nn)!
-    return float(ratio) ** (1.0 / N) / math.pi
+    try:
+        root = float(ratio) ** (1.0 / N)
+    except OverflowError:  # ratio is about (radius pi)^N: root ratio / 2^s, times 2^(s/N)
+        s = ratio.numerator.bit_length() - ratio.denominator.bit_length() - 1000
+        root = float(ratio / 2**s) ** (1.0 / N) * 2.0 ** (s / N)
+    return root / math.pi

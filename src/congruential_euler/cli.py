@@ -128,11 +128,16 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = args.check(args)  # each theorem's parser sets its check
+    text = "\n".join(
+        [f"{report.theorem_id} [{report.params}]: {report.status.upper()} "
+         f"({report.instances_checked} instances)"]
+        + [f"  witness {witness}" for witness in report.failures]
+    )
     tsv = (
-        f"{report.theorem_id}\t{report.param_summary}\t{report.instances_checked}\t"
+        f"{report.theorem_id}\t{report.params}\t{report.instances_checked}\t"
         f"{report.status}\t{json.dumps(report.failures, sort_keys=True)}"
     )
-    _emit(args, report.to_dict(), report.render_text(), tsv)
+    _emit(args, report.to_dict(), text, tsv)
     return 0 if report.passed else 1
 
 
@@ -170,6 +175,8 @@ def _grid_rows(spec) -> list[tuple]:
     """Check a parsed grid file and return its rows as (p, m, j, r, n_max)."""
     if not isinstance(spec, list):
         raise ValueError("grid: expected a JSON list of scans")
+    if not spec:
+        raise ValueError("grid: expected at least one scan")
     keys = ("p", "m", "j", "r", "n_max")
     rows = []
     for index, row in enumerate(spec):

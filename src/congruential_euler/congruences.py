@@ -12,13 +12,11 @@ conversion is what rules out off-by-step bugs.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
 
 from .engine import SeqParams, residue_table
 from .exact import (
-    EgfSeries,
     Rational,
     exp_section,
     is_prime,
@@ -30,7 +28,6 @@ from .exact import (
 )
 
 __all__ = [
-    "THEOREM_IDS",
     "CongruenceReport",
     "check_main_theorem",
     "check_komatsu_liu",
@@ -42,70 +39,37 @@ __all__ = [
     "verify_lemma_series",
 ]
 
-THEOREM_IDS = (
-    "main_theorem",
-    "komatsu_liu",
-    "gessel",
-    "prime_power",
-    "special_40",
-    "special_60",
-    "lemma_Xm",
-    "lemma_series",
-)
-
 MAX_WITNESSES = 5
 
 
 @dataclass
 class CongruenceReport:
-    """Pass/fail record for one theorem instance sweep."""
+    """Pass/fail record for one theorem instance sweep.
+
+    The status is ``"inconclusive"`` when the caller says so, else ``"fail"``
+    when there are failures and ``"pass"`` when there are none; the failures
+    are cut to the first :data:`MAX_WITNESSES`.
+    """
 
     theorem_id: str
-    param_summary: str
+    params: str
     instances_checked: int
     failures: list[dict] = field(default_factory=list)
     status: str = "pass"
 
     def __post_init__(self) -> None:
-        if self.theorem_id not in THEOREM_IDS:
-            raise ValueError(f"unknown theorem id {self.theorem_id!r}")
         if self.instances_checked < 1:
             raise ValueError("a report must cover at least one instance")
-        if self.status == "pass" and self.failures:
-            raise ValueError("passing report cannot carry failures")
+        if self.status != "inconclusive":
+            self.status = "fail" if self.failures else "pass"
+        self.failures = self.failures[:MAX_WITNESSES]
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "params": self.param_summary,
-            "instances_checked": self.instances_checked,
-            "status": self.status,
-            "failures": self.failures,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def render_text(self) -> str:
-        lines = [
-            f"{self.theorem_id} [{self.param_summary}]: {self.status.upper()} "
-            f"({self.instances_checked} instances)"
-        ]
-        for witness in self.failures:
-            lines.append(f"  witness {witness}")
-        return "\n".join(lines)
-
-
-def _finish(
-    theorem_id: str, summary: str, checked: int, failures: list[dict], status: Optional[str] = None
-) -> CongruenceReport:
-    if status is None:
-        status = "pass" if not failures else "fail"
-    return CongruenceReport(theorem_id, summary, checked, failures[:MAX_WITNESSES], status)
+        return asdict(self)
 
 
 def _residues(params: SeqParams, p: int, e: int, indices: list[int]) -> list[int]:
@@ -174,7 +138,7 @@ def check_main_theorem(p: int, j: int, r: int, n_range: Iterable[int]) -> Congru
     ns = list(n_range)
     summary = f"p={p} j={j} r={r}"
     failures = _antiperiodic(SeqParams(p, j), p, required, shift, ns, summary)
-    return _finish("main_theorem", summary, len(ns), failures)
+    return CongruenceReport("main_theorem", summary, len(ns), failures)
 
 
 def check_komatsu_liu(k: int, n_pairs: Iterable[tuple[int, int]]) -> CongruenceReport:
@@ -200,7 +164,7 @@ def check_komatsu_liu(k: int, n_pairs: Iterable[tuple[int, int]]) -> CongruenceR
         {"params": f"k={k} n={n} m={m}", "lhs": lhs, "rhs": rhs}
         for n, m, lhs, rhs in _unequal(params, params, 3, k + 1, pairs)
     ]
-    return _finish("komatsu_liu", f"k={k}", len(pairs), failures)
+    return CongruenceReport("komatsu_liu", f"k={k}", len(pairs), failures)
 
 
 def check_gessel(p: int, m: int, k: int, n_range: Iterable[int]) -> CongruenceReport:
@@ -222,7 +186,7 @@ def check_gessel(p: int, m: int, k: int, n_range: Iterable[int]) -> CongruenceRe
         {"params": f"{summary} n={n}", "lhs": lhs, "rhs": rhs}
         for n, _, lhs, rhs in _unequal(coarse, fine, p, 3 * k - eps, [(n, n) for n in ns])
     ]
-    return _finish("gessel", summary, len(ns), failures)
+    return CongruenceReport("gessel", summary, len(ns), failures)
 
 
 def check_prime_power(p: int, k: int, r: int, n_range: Iterable[int]) -> CongruenceReport:
@@ -243,7 +207,7 @@ def check_prime_power(p: int, k: int, r: int, n_range: Iterable[int]) -> Congrue
     ns = list(n_range)
     summary = f"p={p} k={k} r={r}"
     failures = _antiperiodic(SeqParams(p**k, 0), p, r + 1, shift, ns, summary)
-    return _finish("prime_power", summary, len(ns), failures)
+    return CongruenceReport("prime_power", summary, len(ns), failures)
 
 
 def check_special_40(r: int, n_range: Iterable[int]) -> CongruenceReport:
@@ -260,7 +224,7 @@ def check_special_40(r: int, n_range: Iterable[int]) -> CongruenceReport:
         {"params": f"r={r} n={n}", "lhs": lhs, "rhs": rhs}
         for _, n, lhs, rhs in _unequal(params, params, 2, r, [(n + shift, n) for n in ns])
     ]
-    return _finish("special_40", f"r={r}", len(ns), failures)
+    return CongruenceReport("special_40", f"r={r}", len(ns), failures)
 
 
 def check_special_60(r: int, n_max: int) -> tuple[Optional[int], CongruenceReport]:
@@ -282,25 +246,9 @@ def check_special_60(r: int, n_max: int) -> tuple[Optional[int], CongruenceRepor
     n0 = mismatches[0][1] + 1 if mismatches else 0
     checked = n_max + 1
     if n0 > n_max:
-        report = _finish(
-            "special_60", f"r={r} n_max={n_max} (no stable tail)", checked, [], "inconclusive"
-        )
-        return None, report
-    report = _finish("special_60", f"r={r} n_max={n_max} n0={n0}", checked, [])
-    return n0, report
-
-
-def _series_residue_failures(
-    lhs: EgfSeries, rhs: EgfSeries, p: int, exponent: int, label: str, order: int
-) -> tuple[int, list[dict]]:
-    top = min(lhs.order, rhs.order, order)
-    failures = []
-    for n in range(top + 1):
-        a = residue_mod_prime_power(lhs[n], p, exponent)
-        b = residue_mod_prime_power(rhs[n], p, exponent)
-        if a != b:
-            failures.append({"params": f"{label} coeff n={n}", "lhs": a, "rhs": b})
-    return top + 1, failures
+        summary = f"r={r} n_max={n_max} (no stable tail)"
+        return None, CongruenceReport("special_60", summary, checked, status="inconclusive")
+    return n0, CongruenceReport("special_60", f"r={r} n_max={n_max} n0={n0}", checked)
 
 
 def verify_lemma_Xm(p: int, m: int, order: int) -> CongruenceReport:
@@ -340,10 +288,14 @@ def verify_lemma_Xm(p: int, m: int, order: int) -> CongruenceReport:
         common = series_multiply(T - 1, series_invert(1 + 3 * series_multiply(T, T)))
         rhs = series_multiply(1 - 3 * T if m % 2 == 1 else 1 + T, common)
 
-    checked, failures = _series_residue_failures(
-        x_series, rhs, p, exponent, f"p={p} m={m}", order
-    )
-    return _finish("lemma_Xm", f"p={p} m={m} order={order}", checked, failures)
+    top = min(x_series.order, rhs.order, order)
+    failures = []
+    for n in range(top + 1):
+        a = residue_mod_prime_power(x_series[n], p, exponent)
+        b = residue_mod_prime_power(rhs[n], p, exponent)
+        if a != b:
+            failures.append({"params": f"p={p} m={m} coeff n={n}", "lhs": a, "rhs": b})
+    return CongruenceReport("lemma_Xm", f"p={p} m={m} order={order}", top + 1, failures)
 
 
 def verify_lemma_series(n_max: int) -> CongruenceReport:
@@ -386,4 +338,4 @@ def verify_lemma_series(n_max: int) -> CongruenceReport:
         for statement, seen, wanted, holds in rows if not holds
     ]
     # support rows are not instances, so 3 * n_max + 2 rows are
-    return _finish("lemma_series", f"n_max={n_max}", len(rows) - len(support), failures)
+    return CongruenceReport("lemma_series", f"n_max={n_max}", len(rows) - len(support), failures)

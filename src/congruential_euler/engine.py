@@ -75,14 +75,10 @@ class SeqParams:
 
 @dataclass
 class SeqTable:
-    """Values E_{Nn}^{(N,j)} for n = 0..max_index (table-index convention)."""
+    """Values E_{Nn}^{(N,j)} for n = 0..len(values) - 1 (table-index convention)."""
 
     params: SeqParams
     values: list[Fraction]
-
-    @property
-    def max_index(self) -> int:
-        return len(self.values) - 1
 
 
 # Append-only memo, one list per (N, j), unlocked: the package starts no

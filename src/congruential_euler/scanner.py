@@ -94,9 +94,6 @@ class PeriodScanResult:
     def mp(self) -> int:
         return self.m * self.p
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 def scan_conjecture(
     p: int, m: int, j: int, r: int, n_max: Optional[int] = None
@@ -148,7 +145,7 @@ def emit_table(results: Iterable[PeriodScanResult], format: str) -> str:
     """Render scan results sorted by (p, mp, j, r): text (published-table columns), TSV, JSON lines."""
     rows = sorted(results, key=lambda s: (s.p, s.mp, s.j, s.r))
     if format == "json":
-        return "\n".join(r.to_json() for r in rows)
+        return "\n".join(json.dumps(asdict(r), sort_keys=True) for r in rows)
     if format == "tsv":
         header = "p\tm\tj\tr\tn0\tperiod\tconjecture_period\tdivides_conjecture\tstatus\tcycle"
         lines = [header]

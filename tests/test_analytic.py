@@ -33,8 +33,8 @@ from congruential_euler.analytic import (
     rounding_floor,
     zeta_even,
 )
-from congruential_euler.analytic import _box_count, _edge_phase, _evaluate, _taylor_bound
-from congruential_euler.engine import SeqParams
+from congruential_euler.analytic import _box_count, _edge_phase, _evaluate, _split, _taylor_bound
+from congruential_euler.engine import SeqParams, compute_table
 
 
 class TestBernoulli:
@@ -371,6 +371,23 @@ class TestZeroSearch:
         # walks the cut of the first backwards: 4 + 3 + 2 walks, not 12
         assert len(walks) == 9
 
+    # H_{2,1} = sinh: the first cut of this box, at y0 + 0.5137 * 2, runs through pi i
+    SINH_BOX = (-0.6, 0.6, math.pi - 1.0274, math.pi + 0.9726)
+
+    def test_split_retries_at_the_second_fraction(self):
+        x0, x1, y0, y1 = self.SINH_BOX
+        with pytest.raises(ArithmeticError):
+            _box_count(2, 1, (x0, x1, y0, y0 + 0.5137 * (y1 - y0)), {})
+        cut = y0 + 0.4629 * (y1 - y0)
+        assert _split(2, 1, self.SINH_BOX, 1, {}) == [
+            ((x0, x1, y0, cut), 0), ((x0, x1, cut, y1), 1)
+        ]
+
+    def test_split_raises_when_every_cut_meets_a_zero(self, monkeypatch):
+        monkeypatch.setattr(analytic, "_SPLIT_FRACTIONS", (0.5137, 0.5137))
+        with pytest.raises(ArithmeticError, match=r"no split of .* avoids the zeros of H_\(2,1\)"):
+            _split(2, 1, self.SINH_BOX, 1, {})
+
     @pytest.mark.parametrize("N, j, a, b", [
         (4, 2, complex(-1.0, -1.0), complex(4.0, 3.0)),
         (6, 3, complex(-2.5, 7.0), complex(6.0, 0.5)),
@@ -478,3 +495,25 @@ class TestRatioRadius:
         assert len(ring) == N
         estimate = ratio_radius(SeqParams(N, j), 40)
         assert all(abs(modulus - estimate) <= 1e-12 * estimate for modulus in ring)
+
+    @staticmethod
+    def exact_ratio(N, j, n_max):
+        values = compute_table(SeqParams(N, j), n_max + 1).values
+        return abs(values[n_max] / values[n_max + 1]) * math.perm(N * (n_max + 1), N)
+
+    # (167, 4) and (150, 1) lie inside the float range, at 1023 and 880 bits
+    @pytest.mark.parametrize("N, j, n_max", [(2, 0, 30), (4, 2, 20), (7, 3, 12), (150, 1, 10),
+                                             (167, 4, 10)])
+    def test_in_the_float_range_the_root_of_the_float_ratio(self, N, j, n_max):
+        ratio = self.exact_ratio(N, j, n_max)
+        assert ratio_radius(SeqParams(N, j), n_max) == float(ratio) ** (1.0 / N) / math.pi
+
+    @pytest.mark.parametrize("N, j, expected", [(168, 3, 21.78), (200, 0, 23.84), (400, 3, 49.26)])
+    def test_past_the_float_range_a_finite_root(self, N, j, expected):
+        ratio = self.exact_ratio(N, j, 10)
+        with pytest.raises(OverflowError):
+            float(ratio)
+        by_logs = math.exp((math.log(ratio.numerator) - math.log(ratio.denominator)) / N) / math.pi
+        estimate = ratio_radius(SeqParams(N, j), 10)
+        assert abs(estimate - by_logs) <= 1e-12 * by_logs
+        assert round(estimate, 2) == expected

@@ -274,6 +274,29 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == "check failed: E^(3,0) at table index n=3 has p=3 in its denominator\n"
 
+    # seven witnesses, of which the report keeps the first five
+    WITNESSES = [{"params": f"p=3 j=0 r=1 n={n}", "lhs": 1, "rhs": 2} for n in range(7)]
+    KEPT = ", ".join(f'{{"lhs": 1, "params": "p=3 j=0 r=1 n={n}", "rhs": 2}}' for n in range(5))
+
+    @pytest.mark.parametrize("fmt, expected", [
+        ("text", "main_theorem [p=3 j=0 r=1]: FAIL (9 instances)\n" + "".join(
+            f"  witness {{'params': 'p=3 j=0 r=1 n={n}', 'lhs': 1, 'rhs': 2}}\n" for n in range(5)
+        )),
+        ("tsv", f"main_theorem\tp=3 j=0 r=1\t9\tfail\t[{KEPT}]\n"),
+        ("json", f'{{"failures": [{KEPT}], "instances_checked": 9, "params": "p=3 j=0 r=1", '
+                 '"status": "fail", "theorem_id": "main_theorem"}\n'),
+    ])
+    def test_a_failing_report_in_each_format(self, capsys, tmp_path, monkeypatch, fmt, expected):
+        monkeypatch.setattr(congruences, "check_main_theorem", lambda p, j, r, n: (
+            congruences.CongruenceReport("main_theorem", f"p={p} j={j} r={r}", len(n),
+                                         self.WITNESSES)
+        ))
+        code, out, err = run(
+            capsys, "--format", fmt, "--cache-dir", str(tmp_path), "verify", "main", "--p", "3",
+            "--j", "0", "--r", "1", "--n", "0..8",
+        )
+        assert (code, out, err) == (1, expected, "")
+
 
 class TestScan:
     def test_single_scan(self, capsys, tmp_path):
@@ -341,6 +364,17 @@ class TestScan:
         code, out, err = run(capsys, "--cache-dir", str(tmp_path), "scan", "--grid", str(grid))
         assert (code, out) == (2, "")
         assert err == "error: grid: expected a JSON list of scans\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
+    def test_an_empty_grid_exit_2_before_any_output(self, capsys, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(cli, "scan_conjecture", None)  # no scan may run
+        grid = tmp_path / "grid.json"
+        grid.write_text("[]")
+        code, out, err = run(
+            capsys, "--format", fmt, "--cache-dir", str(tmp_path), "scan", "--grid", str(grid)
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: grid: expected at least one scan\n"
 
     @pytest.mark.parametrize("args, message", [
         (["--grid", "{grid}", "--n-max", "5"], "--n-max does not apply with --grid"),
@@ -489,6 +523,14 @@ class TestIdentities:
         assert code == 0
         payload = json.loads(out)
         assert abs(payload["radius_over_pi"] - 2**0.5) < 0.05
+
+    def test_radius_past_the_float_range(self, capsys, tmp_path):
+        # the ratio at N = 200 is about 2^1246, past the largest float
+        code, out, err = run(
+            capsys, "--cache-dir", str(tmp_path), "identities", "radius", "--N", "200",
+            "--j", "0", "--n-max", "10",
+        )
+        assert (code, out, err) == (0, "radius/pi estimate for (200,0): 23.841554607\n", "")
 
     def test_special_values(self, capsys, tmp_path):
         code, _, _ = run(

@@ -1,6 +1,5 @@
 """Tests for the congruence verifier."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -99,7 +98,7 @@ class TestMainTheorem:
 
     def test_report_shape(self):
         report = check_main_theorem(3, 0, 1, range(0, 5))
-        payload = json.loads(report.to_json())
+        payload = report.to_dict()
         assert payload["theorem_id"] == "main_theorem"
         assert payload["status"] == "pass"
         assert payload["instances_checked"] == 5
@@ -224,16 +223,39 @@ class TestLemmaSeries:
 
 def test_report_validation():
     with pytest.raises(ValueError):
-        CongruenceReport("nonsense", "x", 1)
-    with pytest.raises(ValueError):
         CongruenceReport("gessel", "x", 0)
-    with pytest.raises(ValueError):
-        CongruenceReport("gessel", "x", 1, failures=[{"params": "x", "lhs": 0, "rhs": 1}])
+
+
+WITNESS = {"params": "x", "lhs": 0, "rhs": 1}
+
+
+@pytest.mark.parametrize("failures, given, status", [
+    ([WITNESS], None, "fail"),
+    ([], None, "pass"),
+    ([WITNESS], "pass", "fail"),
+    ([], "fail", "pass"),
+    ([], "inconclusive", "inconclusive"),
+])
+def test_report_sets_its_status(failures, given, status):
+    extra = {} if given is None else {"status": given}
+    report = CongruenceReport("gessel", "x", 1, failures, **extra)
+    assert (report.status, report.passed) == (status, status == "pass")
+
+
+def test_report_keeps_the_first_witnesses():
+    kept = congruences.MAX_WITNESSES
+    witnesses = [{"params": f"n={n}", "lhs": 0, "rhs": 1} for n in range(kept + 2)]
+    report = CongruenceReport("gessel", "x", 9, witnesses)
+    assert report.failures == witnesses[:kept]
+    assert report.to_dict() == {
+        "theorem_id": "gessel", "params": "x", "instances_checked": 9,
+        "failures": witnesses[:kept], "status": "fail",
+    }
 
 
 def test_reports_are_deterministic():
-    a = check_main_theorem(3, 0, 1, range(0, 10)).to_json()
-    b = check_main_theorem(3, 0, 1, range(0, 10)).to_json()
+    a = check_main_theorem(3, 0, 1, range(0, 10)).to_dict()
+    b = check_main_theorem(3, 0, 1, range(0, 10)).to_dict()
     assert a == b
 
 
@@ -483,12 +505,3 @@ def test_lemma_Xm_witnesses(monkeypatch):
         {"params": "p=2 m=1 coeff n=2", "lhs": 0, "rhs": 1},
         {"params": "p=2 m=1 coeff n=3", "lhs": 1, "rhs": 0},
     ]
-
-
-def test_render_text_lists_witnesses():
-    witness = {"params": "p=3 j=0 r=1 n=4", "lhs": 1, "rhs": 2}
-    report = CongruenceReport("main_theorem", "p=3 j=0 r=1", 7, [witness], "fail")
-    assert report.render_text() == (
-        "main_theorem [p=3 j=0 r=1]: FAIL (7 instances)\n"
-        "  witness {'params': 'p=3 j=0 r=1 n=4', 'lhs': 1, 'rhs': 2}"
-    )

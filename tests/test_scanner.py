@@ -212,6 +212,6 @@ class TestEmit:
 
 
 def test_scan_results_are_deterministic():
-    a = scan_conjecture(3, 2, 3, 2).to_json()
-    b = scan_conjecture(3, 2, 3, 2).to_json()
+    a = emit_table([scan_conjecture(3, 2, 3, 2)], "json")
+    b = emit_table([scan_conjecture(3, 2, 3, 2)], "json")
     assert a == b
