@@ -11,6 +11,13 @@ big-by-small multiplication and division instead of building every
 C(n, k) from scratch.  The series product and inverse walk only the
 nonzero coefficients of their left operand and skip a term whose partner
 coefficient is zero, so an N-sparse kernel costs about 1/N of a dense one.
+Each coefficient's terms are added pairwise in a balanced tree, adjacent
+fractions meeting over the lcm of their two denominators, and the root is
+reduced once (binary splitting; Haible and Papanikolaou, "Fast
+multiprecision evaluation of series of rational numbers", ANTS 1998).  A
+flat sum over the lcm of all the denominators would multiply every term by
+a cofactor as large as that whole lcm; in the tree a term meets only the
+cofactors of its partners, and only the few nodes near the root are large.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, perm
+from math import gcd, perm
 from typing import Iterable, Iterator, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -135,13 +142,23 @@ def residue_mod_prime_power(x: Rational, p: int, r: int) -> int:
     return (x.numerator % modulus) * pow(x.denominator % modulus, -1, modulus) % modulus
 
 
+def _exact_coefficient(c: Rational) -> Fraction:
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"EgfSeries: coefficient {c!r} is not an int or a Fraction")
+
+
 @dataclass(frozen=True)
 class EgfSeries:
     """Truncated exponential generating function sum a_n z^n/n!.
 
     ``coeffs[n]`` is a_n; the truncation order is ``len(coeffs) - 1``.
     Instances are immutable; binary operations truncate to the smaller
-    order of the two operands.
+    order of the two operands.  The constructor turns int coefficients
+    into ``Fraction`` and rejects any other type, floats included, so that
+    every coefficient is exact.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -149,14 +166,15 @@ class EgfSeries:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("EgfSeries needs at least the constant coefficient")
+        object.__setattr__(self, "coeffs", tuple(map(_exact_coefficient, self.coeffs)))
 
     @staticmethod
     def from_coeffs(values: Sequence[Rational]) -> "EgfSeries":
-        return EgfSeries(tuple(v if isinstance(v, Fraction) else Fraction(v) for v in values))
+        return EgfSeries(tuple(values))
 
     @staticmethod
     def constant(value: Rational, order: int) -> "EgfSeries":
-        return EgfSeries((Fraction(value),) + (Fraction(0),) * order)
+        return EgfSeries((value,) + (0,) * order)
 
     @property
     def order(self) -> int:
@@ -224,21 +242,44 @@ def exp_section(step: int, offset: int, order: int) -> EgfSeries:
 def _convolve(n: int, support: list[int], partner: list[bool], ca, cb) -> Fraction:
     """sum of C(n, m) ca[m] cb[n - m] over m in ``support`` with m <= n and partner[n - m].
 
-    The sum is reduced once: each term is an integer over the lcm D of the
-    terms' denominators den(ca[m]) * den(cb[n - m]), the integers are
-    added, and one ``Fraction`` is built from the total and D.  In a term
-    the small factors (the binomial, ca[m]'s numerator, D's cofactor) are
-    multiplied before the numerator of cb[n - m], the big one in the
-    series inverse.
+    The terms are added pairwise, in a balanced tree over their order in m,
+    and the sum is reduced once.  A leaf is the pair (a, b) with
+    a = C(n, m) num(ca[m]) num(cb[n - m]) and b = den(ca[m]) den(cb[n - m]) > 0.
+    Two adjacent nodes merge by
+
+        a/b + c/d = (a (d/g) + c (b/g)) / ((b/g) d),    g = gcd(b, d),
+
+    an odd node left over at a level moves up unchanged, and one
+    ``Fraction`` is built from the root.
+
+    Exactness: a/b = a (d/g) / (b d/g) and c/d = c (b/g) / (b d/g), and
+    (b/g) d = b d/g, so each merge is an exact identity, and by induction
+    each node's a/b equals the sum of its leaves.  Its denominator
+    b d/gcd(b, d) = lcm(b, d) is positive, so the root is the sum over the
+    lcm of all the leaves' denominators and ``Fraction`` reduces it to the
+    same value a flat sum over that lcm gives.
+
+    Cost: a flat sum multiplies every term by its share of the lcm of all
+    the denominators; here a term is multiplied only by the cofactors of
+    the nodes it merges with, which are large only near the root.  In a
+    leaf the small factors are multiplied before the numerator of
+    cb[n - m], the big one in the series inverse.
     """
     ms = [m for m in support[: bisect_right(support, n)] if partner[n - m]]
-    dens = [ca[m].denominator * cb[n - m].denominator for m in ms]
-    common = lcm(*dens)
-    total = sum(
-        weight * ca[m].numerator * (common // den) * cb[n - m].numerator
-        for m, weight, den in zip(ms, binomial_row(n, ms), dens)
-    )
-    return Fraction(total, common)
+    nodes = [
+        (weight * ca[m].numerator * cb[n - m].numerator, ca[m].denominator * cb[n - m].denominator)
+        for m, weight in zip(ms, binomial_row(n, ms))
+    ] or [(0, 1)]
+    while len(nodes) > 1:
+        merged = []
+        for (a, b), (c, d) in zip(nodes[::2], nodes[1::2]):
+            g = gcd(b, d)
+            merged.append((a * (d // g) + c * (b // g), b // g * d))
+        if len(nodes) % 2:
+            merged.append(nodes[-1])
+        nodes = merged
+    num, den = nodes[0]
+    return Fraction(num, den)
 
 
 def series_multiply(a: EgfSeries, b: EgfSeries) -> EgfSeries:

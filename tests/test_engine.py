@@ -123,6 +123,14 @@ def test_oracle_agrees_with_recurrence(N, j):
     assert compute_table(params, 12).values == oracle_table(params, 12).values
 
 
+@pytest.mark.parametrize("N,j,n_max", [(6, 3, 81), (20, 13, 40)])
+def test_oracle_agrees_with_recurrence_on_long_sums(N, j, n_max):
+    # entry n of the oracle sums n terms, so these sums reach 81 and 40
+    # terms and leave an odd node over at several levels of the pairwise tree
+    params = SeqParams(N, j)
+    assert compute_table(params, n_max).values == oracle_table(params, n_max).values
+
+
 def test_oracle_bernoulli_odd_indices_vanish():
     values = oracle_table(SeqParams(1, 1), 12).values
     assert values[1] == Fraction(-1, 2)

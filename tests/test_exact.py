@@ -320,6 +320,77 @@ class TestSparseSeries:
         assert list(series_invert(kernel).coeffs) == dense_invert(list(kernel.coeffs))
 
 
+def primes(count: int) -> list[int]:
+    found = []
+    candidate = 2
+    while len(found) < count:
+        if is_prime(candidate):
+            found.append(candidate)
+        candidate += 1
+    return found
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("terms", [1, 2, 3, 5, 8, 9, 17, 33])
+    def test_multiply_matches_dense_over_coprime_denominators(self, terms):
+        # coefficient n sums n + 1 terms; each term's denominator is the
+        # product of two primes used nowhere else, so no two terms share a
+        # factor and every merge of the tree has gcd 1
+        ps = primes(2 * terms)
+        a = [Fraction((-1) ** m * (m + 2), ps[m]) for m in range(terms)]
+        b = [Fraction(3 * i + 1, ps[terms + i]) for i in range(terms)]
+        product = series_multiply(EgfSeries.from_coeffs(a), EgfSeries.from_coeffs(b))
+        assert list(product.coeffs) == dense_multiply(a, b)
+
+    @pytest.mark.parametrize("x,y", [
+        (Fraction(2, 3), Fraction(-2, 3)),   # every coefficient past the first cancels to 0
+        (Fraction(3, 7), Fraction(-4, 5)),   # mixed signs summing to -13/35 at odd n
+    ])
+    def test_exponentials_multiply_to_the_exponential_of_the_sum(self, x, y):
+        # exp(xz) exp(yz) = exp((x + y)z): coefficient n is (x + y)^n
+        order = 33
+        left = EgfSeries.from_coeffs([x**n for n in range(order + 1)])
+        right = EgfSeries.from_coeffs([y**n for n in range(order + 1)])
+        product = series_multiply(left, right)
+        assert list(product.coeffs) == [(x + y) ** n for n in range(order + 1)]
+
+    def test_terms_that_cancel_give_fraction_zero(self):
+        # 1/3 * (-3/35) + 1/5 * 1/7 = 0 over coprime denominators
+        a = EgfSeries.from_coeffs([Fraction(1, 3), Fraction(1, 5)])
+        b = EgfSeries.from_coeffs([Fraction(1, 7), Fraction(-3, 35)])
+        total = series_multiply(a, b)[1]
+        assert type(total) is Fraction and total == 0 and total.denominator == 1
+
+    def test_negative_sum(self):
+        # 1/2 * (-1) + 1/3 * 1 = -1/6
+        a = EgfSeries.from_coeffs([Fraction(1, 2), Fraction(1, 3)])
+        b = EgfSeries.from_coeffs([1, -1])
+        assert series_multiply(a, b)[1] == Fraction(-1, 6)
+
+
+class TestExactCoefficients:
+    def test_int_coefficients_become_fractions(self):
+        a = EgfSeries((0, 3, 4))
+        assert all(type(c) is Fraction for c in a.coeffs)
+        shifted = series_shift_down(a, 1)
+        assert shifted.coeffs == (Fraction(3), Fraction(2))
+        assert all(type(c) is Fraction for c in shifted.coeffs)
+
+    def test_int_series_inverts(self):
+        inverse = series_invert(EgfSeries((1, 1, 1)))
+        assert inverse.coeffs == (Fraction(1), Fraction(-1), Fraction(1))
+        assert all(type(c) is Fraction for c in inverse.coeffs)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.0, "1/2", None])
+    def test_other_coefficients_rejected(self, bad):
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            EgfSeries((Fraction(1), bad))
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            EgfSeries.from_coeffs([1, bad])
+        with pytest.raises(TypeError, match="not an int or a Fraction"):
+            EgfSeries.constant(bad, 2)
+
+
 class TestSeriesDerivative:
     def test_is_shift(self):
         a = EgfSeries.from_coeffs([1, 2, 3, 4, 5])
