@@ -18,24 +18,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import congruences
-from .analytic import (
-    _EXP_LIMIT,
-    _SEARCH_REACH,
-    BERNOULLI_DISPLAYS,
-    ZERO_FAMILIES,
-    BernoulliFormulaId,
-    ZetaFormulaId,
-    bernoulli,
-    bernoulli_formula_value,
-    check_special_values,
-    eval_H,
-    formula_reference,
-    formula_value,
-    lattice_zeros,
-    predicted_zero,
-    ratio_radius,
-)
+# every command runs the engine; each handler imports the other library
+# modules it runs, so that a command loads only its own
 from .engine import (
     _any_digits,
     CacheFormatError,
@@ -46,9 +30,6 @@ from .engine import (
     compute_table,
     seed_memo,
 )
-from .scanner import emit_table, run_reference_scan, scan_conjecture
-
-DEFAULT_CACHE_DIR = Path(os.environ.get("CEULER_CACHE_DIR", "~/.cache/congruential-euler"))
 
 __all__ = ["main"]
 
@@ -127,7 +108,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = args.check(args)  # each theorem's parser sets its check
+    from . import congruences
+
+    report = args.check(congruences, args)  # each theorem's parser sets its check
     text = "\n".join(
         [f"{report.theorem_id} [{report.params}]: {report.status.upper()} "
          f"({report.instances_checked} instances)"]
@@ -145,6 +128,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    from .scanner import emit_table, run_reference_scan, scan_conjecture
+
     # one mode: --appendix-b, --grid FILE, or --p --m --j --r with an optional --n-max
     mode = "--appendix-b" if args.appendix_b else "--grid" if args.grid is not None else None
     given = {"--p": args.p, "--m": args.m, "--j": args.j, "--r": args.r, "--n-max": args.n_max,
@@ -201,6 +186,24 @@ def _grid_rows(spec) -> list[tuple]:
 
 
 def _cmd_identities(args: argparse.Namespace) -> int:
+    from .analytic import (
+        _EXP_LIMIT,
+        _SEARCH_REACH,
+        BERNOULLI_DISPLAYS,
+        ZERO_FAMILIES,
+        BernoulliFormulaId,
+        ZetaFormulaId,
+        bernoulli,
+        bernoulli_formula_value,
+        check_special_values,
+        eval_H,
+        formula_reference,
+        formula_value,
+        lattice_zeros,
+        predicted_zero,
+        ratio_radius,
+    )
+
     target = args.target
     ok = True
     if target == "zeta":
@@ -344,7 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "tsv", "json"), default="text")
     parser.add_argument(
-        "--cache-dir", type=lambda text: Path(text).expanduser(), default=str(DEFAULT_CACHE_DIR)
+        "--cache-dir", type=lambda text: Path(text).expanduser(),
+        # an empty variable counts as unset, as in the XDG base-directory convention
+        default=os.environ.get("CEULER_CACHE_DIR") or "~/.cache/congruential-euler",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -358,35 +363,37 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
     v_sub = p_verify.add_subparsers(dest="theorem", required=True)
     v_main = v_sub.add_parser("main")
-    v_main.set_defaults(check=lambda a: congruences.check_main_theorem(a.p, a.j, a.r, a.n))
+    v_main.set_defaults(
+        check=lambda congruences, a: congruences.check_main_theorem(a.p, a.j, a.r, a.n))
     _required_ints(v_main, "p", "j", "r")
     v_main.add_argument("--n", type=_parse_range, default="0..20")
     v_kl = v_sub.add_parser("komatsu-liu")
-    v_kl.set_defaults(check=lambda a: congruences.check_komatsu_liu(a.k, a.pairs))
+    v_kl.set_defaults(check=lambda congruences, a: congruences.check_komatsu_liu(a.k, a.pairs))
     _required_ints(v_kl, "k")
     v_kl.add_argument("--pairs", type=_family, nargs="+", required=True, metavar="N,M")
     v_gessel = v_sub.add_parser("gessel")
-    v_gessel.set_defaults(check=lambda a: congruences.check_gessel(a.p, a.m, a.k, a.n))
+    v_gessel.set_defaults(check=lambda congruences, a: congruences.check_gessel(a.p, a.m, a.k, a.n))
     _required_ints(v_gessel, "p", "m", "k")
     v_gessel.add_argument("--n", type=_parse_range, default="0..10")
     v_pp = v_sub.add_parser("prime-power")
-    v_pp.set_defaults(check=lambda a: congruences.check_prime_power(a.p, a.k, a.r, a.n))
+    v_pp.set_defaults(
+        check=lambda congruences, a: congruences.check_prime_power(a.p, a.k, a.r, a.n))
     _required_ints(v_pp, "p", "k", "r")
     v_pp.add_argument("--n", type=_parse_range, default="0..10")
     v_s40 = v_sub.add_parser("special-40")
-    v_s40.set_defaults(check=lambda a: congruences.check_special_40(a.r, a.n))
+    v_s40.set_defaults(check=lambda congruences, a: congruences.check_special_40(a.r, a.n))
     _required_ints(v_s40, "r")
     v_s40.add_argument("--n", type=_parse_range, default="0..10")
     v_s60 = v_sub.add_parser("special-60")
-    v_s60.set_defaults(check=lambda a: congruences.check_special_60(a.r, a.n_max)[1])
+    v_s60.set_defaults(check=lambda congruences, a: congruences.check_special_60(a.r, a.n_max)[1])
     _required_ints(v_s60, "r")
     v_s60.add_argument("--n-max", type=int, default=30)
     v_xm = v_sub.add_parser("lemma-xm")
-    v_xm.set_defaults(check=lambda a: congruences.verify_lemma_Xm(a.p, a.m, a.order))
+    v_xm.set_defaults(check=lambda congruences, a: congruences.verify_lemma_Xm(a.p, a.m, a.order))
     _required_ints(v_xm, "p", "m")
     v_xm.add_argument("--order", type=int, default=60)
     v_ls = v_sub.add_parser("lemma-series")
-    v_ls.set_defaults(check=lambda a: congruences.verify_lemma_series(a.n_max))
+    v_ls.set_defaults(check=lambda congruences, a: congruences.verify_lemma_series(a.n_max))
     v_ls.add_argument("--n-max", type=int, default=10)
 
     p_scan = sub.add_parser("scan", help="empirical residue-period scan")

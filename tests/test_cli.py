@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from congruential_euler import analytic, cli, congruences
+from congruential_euler import analytic, cli, congruences, scanner
 from congruential_euler.cli import main
 from congruential_euler.engine import SeqParams, compute_table
 
@@ -367,7 +367,7 @@ class TestScan:
 
     @pytest.mark.parametrize("fmt", ["text", "tsv", "json"])
     def test_an_empty_grid_exit_2_before_any_output(self, capsys, tmp_path, monkeypatch, fmt):
-        monkeypatch.setattr(cli, "scan_conjecture", None)  # no scan may run
+        monkeypatch.setattr(scanner, "scan_conjecture", None)  # no scan may run
         grid = tmp_path / "grid.json"
         grid.write_text("[]")
         code, out, err = run(
@@ -387,8 +387,8 @@ class TestScan:
     ])
     def test_options_outside_the_chosen_mode_exit_2(self, capsys, tmp_path, monkeypatch, args,
                                                      message):
-        monkeypatch.setattr(cli, "scan_conjecture", None)  # no scan may run
-        monkeypatch.setattr(cli, "run_reference_scan", None)
+        monkeypatch.setattr(scanner, "scan_conjecture", None)  # no scan may run
+        monkeypatch.setattr(scanner, "run_reference_scan", None)
         grid = tmp_path / "grid.json"
         grid.write_text(json.dumps([{"p": 3, "m": 2, "j": 3, "r": 2}]))
         argv = [str(grid) if arg == "{grid}" else arg for arg in args]
@@ -575,6 +575,24 @@ class TestCache:
         assert code == 0
         assert err == "removed 1 cache file(s)\n"
         assert [path.name for path in tmp_path.iterdir()] == [stray.name]
+
+    @pytest.mark.parametrize("variable, cache", [
+        ("", "home/.cache/congruential-euler"),  # an empty variable counts as unset
+        ("chosen", "chosen"),
+    ])
+    def test_clear_in_the_directory_the_variable_names(self, tmp_path, variable, cache):
+        work, cache = tmp_path / "work", tmp_path / cache
+        for directory in (work, cache):
+            directory.mkdir(parents=True)
+            (directory / "euler_N2_j0.txt").write_text("")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "HOME": str(tmp_path / "home"),
+               "CEULER_CACHE_DIR": variable and str(tmp_path / variable)}
+        clear = subprocess.run([sys.executable, "-m", "congruential_euler.cli", "cache", "clear"],
+                               cwd=work, env=env, capture_output=True, text=True, timeout=60)
+        assert (clear.returncode, clear.stderr) == (0, "removed 1 cache file(s)\n")
+        assert [path.name for path in work.iterdir()] == ["euler_N2_j0.txt"]
+        assert list(cache.iterdir()) == []
 
     def test_inspect_json(self, capsys, tmp_path):
         run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", "2", "--j", "0",

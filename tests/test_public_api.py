@@ -1,4 +1,4 @@
-"""The package exports every public name of its library modules."""
+"""The package exports every public name of its library modules, and loads each on first use."""
 
 import inspect
 import subprocess
@@ -9,6 +9,8 @@ import pytest
 
 import congruential_euler
 from congruential_euler import analytic, congruences, engine, exact, scanner
+
+SRC = Path(congruential_euler.__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("module", [analytic, congruences, engine, exact, scanner], ids=lambda m: m.__name__)
@@ -21,12 +23,53 @@ def test_every_public_function_and_class_is_exported(module):
     ]
     assert public
     assert [name for name in public if name not in module.__all__] == []
-    assert [name for name in module.__all__ if not hasattr(congruential_euler, name)] == []
+    assert [name for name in module.__all__
+            if getattr(congruential_euler, name) is not getattr(module, name)] == []
     assert set(module.__all__) <= set(congruential_euler.__all__)
 
 
-def test_cli_stays_out_of_the_package_import():
-    code = "import sys, congruential_euler; print('congruential_euler.cli' in sys.modules)"
-    src = Path(congruential_euler.__file__).resolve().parents[1]
-    run = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True, check=True)
-    assert run.stdout.strip() == "False"
+def test_the_namespace_lists_binds_and_refuses_names():
+    assert set(congruential_euler.__all__) <= set(dir(congruential_euler))
+    namespace = {}
+    exec("from congruential_euler import *", namespace)
+    assert [name for name in congruential_euler.__all__ if name not in namespace] == []
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        congruential_euler.no_such_name
+
+
+def _loaded(code: str, cache_dir: Path) -> list[str]:
+    """Run code in a fresh interpreter; return the package modules it loaded."""
+    probe = (f"CACHE = {str(cache_dir)!r}\n{code}\nimport sys\n"
+             "print(*sorted(name for name in sys.modules if name.startswith('congruential_euler')))")
+    run = subprocess.run([sys.executable, "-c", probe], cwd=SRC, capture_output=True, text=True,
+                         check=True, timeout=60)
+    return run.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.parametrize("code, modules", [
+    ("import congruential_euler", []),
+    ("import sys, congruential_euler\n"
+     "before = set(sys.modules)\n"
+     "assert not hasattr(congruential_euler, '__wrapped__')\n"
+     "assert set(sys.modules) == before", []),
+    ("import congruential_euler\ncongruential_euler.SeqParams", ["engine", "exact"]),
+    # a cold run fills the cache, so the second run is warm
+    ("from congruential_euler import cli\n"
+     "for _ in range(2):\n"
+     "    assert cli.main(['--cache-dir', CACHE, 'compute', '--N', '4', '--j', '2']) == 0",
+     ["cli", "engine", "exact"]),
+    ("from congruential_euler import cli\n"
+     "cli.main(['--cache-dir', CACHE, 'scan', '--appendix-b'])",  # 1: the published errata
+     ["cli", "engine", "exact", "scanner"]),
+    ("from congruential_euler import cli\n"
+     "assert cli.main(['--cache-dir', CACHE, 'verify', 'main', '--p', '3', '--j', '0', '--r', '1']) == 0",
+     ["cli", "congruences", "engine", "exact"]),
+    ("from congruential_euler import cli\n"
+     "assert cli.main(['--cache-dir', CACHE, 'identities', 'zeta']) == 0",
+     ["analytic", "cli", "engine", "exact"]),
+], ids=["import", "dunder-probe", "one-name", "warm-compute", "scan-appendix-b", "verify",
+        "identities-zeta"])
+def test_cli_stays_out_of_the_package_import(tmp_path, code, modules):
+    # and each use loads only the library modules it runs
+    expected = ["congruential_euler", *(f"congruential_euler.{module}" for module in modules)]
+    assert _loaded(code, tmp_path) == expected
