@@ -78,6 +78,24 @@ def _emit(args: argparse.Namespace, record: dict, text: str, tsv: Optional[str] 
         print(text)
 
 
+def _emit_rows(args: argparse.Namespace, rows) -> int:
+    """Print each row through _emit; return 0 if every row is ok, else 1.
+
+    A row is (record, text, ok), or (record, text, ok, tsv) with the TSV
+    string _emit takes.  A generator of rows keeps two rules:
+
+    - it checks its arguments before its first yield, so that a usage
+      ValueError exits 2 with nothing on stdout;
+    - a failure that belongs to no single row raises ArithmeticError after
+      the rows, which main reports as "check failed" with exit 1.
+    """
+    ok = True
+    for record, text, row_ok, *tsv in rows:
+        _emit(args, record, text, *tsv)
+        ok &= row_ok
+    return 0 if ok else 1
+
+
 # --- compute -----------------------------------------------------------------
 
 
@@ -96,12 +114,14 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             held = len(cached.values)
     table = compute_table(params, args.n_max)
     if path is not None and len(table.values) > held:
-        args.cache_dir.mkdir(parents=True, exist_ok=True)
-        cache_store(table, path)
-    for n, value in enumerate(table.values):
-        text = f"{value.numerator}/{value.denominator}"
-        _emit(args, {"n": n, "value": text}, f"{n} {text}")
-    return 0
+        try:
+            args.cache_dir.mkdir(parents=True, exist_ok=True)
+            cache_store(table, path)
+        except OSError as exc:  # the table is computed: print it without the cache
+            print(f"warning: cannot write cache file {path.name}: {exc}", file=sys.stderr)
+    texts = (f"{value.numerator}/{value.denominator}" for value in table.values)
+    return _emit_rows(args, (({"n": n, "value": text}, f"{n} {text}", True)
+                             for n, text in enumerate(texts)))
 
 
 # --- verify --------------------------------------------------------------
@@ -120,8 +140,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         f"{report.theorem_id}\t{report.params}\t{report.instances_checked}\t"
         f"{report.status}\t{json.dumps(report.failures, sort_keys=True)}"
     )
-    _emit(args, report.to_dict(), text, tsv)
-    return 0 if report.passed else 1
+    return _emit_rows(args, [(report.to_dict(), text, report.passed, tsv)])
 
 
 # --- scan ----------------------------------------------------------------
@@ -186,119 +205,97 @@ def _grid_rows(spec) -> list[tuple]:
 
 
 def _cmd_identities(args: argparse.Namespace) -> int:
-    from .analytic import (
-        _EXP_LIMIT,
-        _SEARCH_REACH,
-        BERNOULLI_DISPLAYS,
-        ZERO_FAMILIES,
-        BernoulliFormulaId,
-        ZetaFormulaId,
-        bernoulli,
-        bernoulli_formula_value,
-        check_special_values,
-        eval_H,
-        formula_reference,
-        formula_value,
-        lattice_zeros,
-        predicted_zero,
-        ratio_radius,
-    )
+    from . import analytic
 
-    target = args.target
-    ok = True
-    if target == "zeta":
-        if args.n_max < 1:
-            raise ValueError("identities zeta: --n-max must be at least 1")
-        for formula in ZetaFormulaId:
-            for n in range(1, args.n_max + 1):
-                lhs = formula_reference(formula, n)
-                rhs = formula_value(formula, n)
-                equal = lhs == rhs
-                ok &= equal
-                record = {
-                    "formula_id": formula.value,
-                    "n": n,
-                    "degree": lhs.degree,
-                    "lhs_coefficient": str(lhs.coefficient),
-                    "rhs_coefficient": str(rhs.coefficient),
-                    "equal": equal,
-                }
-                _emit(
-                    args, record,
-                    f"{formula.value} n={n}: pi^{lhs.degree} * {lhs.coefficient} "
-                    f"{'==' if equal else '!='} {rhs.coefficient}",
-                )
-    elif target == "bernoulli":
-        if args.n_max < 0:  # n = 0 has two displays (BernoulliDisplay.min_n)
-            raise ValueError("identities bernoulli: --n-max must be at least 0")
-        for formula in BernoulliFormulaId:
-            display = BERNOULLI_DISPLAYS[formula]
-            for n in range(display.min_n, args.n_max + 1):
-                lhs = bernoulli(display.index(n))
-                rhs = bernoulli_formula_value(formula, n)
-                equal = lhs == rhs
-                ok &= equal
-                record = {
-                    "formula_id": formula.value,
-                    "n": n,
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                    "equal": equal,
-                }
-                _emit(
-                    args, record,
-                    f"{formula.value} n={n}: {lhs} {'==' if equal else '!='} {rhs}",
-                )
-    elif target == "zeros":
-        N, j = args.family
-        if (N, j) not in ZERO_FAMILIES:
-            raise ValueError("identities zeros: --family must be one of "
-                             + " ".join(f"{a},{b}" for a, b in ZERO_FAMILIES))
-        if args.count < 1:
-            raise ValueError("identities zeros: --count must be at least 1")
-        ring = -(-args.count // N)  # the ring of the count-th zero; search halfway to the next
-        radius = sum(abs(predicted_zero((N, j), k, 0)) for k in (ring, ring + 1)) / 2
-        if radius > _SEARCH_REACH:
-            raise ValueError(f"identities zeros: --count {args.count} needs the certified search "
-                             f"out to |z| = {radius:.1f}, past its reach of {_SEARCH_REACH:.1f}")
-        rows, strays = lattice_zeros((N, j), radius)
-        for k, l, predicted, zero in rows[:args.count]:
-            record = {"family": f"{N},{j}", "k": k, "l": l, "ok": zero is not None,
-                      "zero": None, "residual": None, "distance_to_closed_form": None}
-            text = f"H_({N},{j}) zero k={k} l={l}: no certified zero at the closed form"
-            if zero is not None:
-                residual, distance = abs(eval_H(N, j, zero)), abs(zero - predicted)
-                record.update(zero=[zero.real, zero.imag], residual=residual,
-                              distance_to_closed_form=distance)
-                text = (f"H_({N},{j}) zero k={k} l={l}: {zero:.12g} residual={residual:.2e} "
-                        f"off-lattice={distance:.2e}")
-            _emit(args, record, text)
-        missing = [f"k={k} l={l}" for k, l, _, zero in rows if zero is None]
-        ok = not missing and not strays
-        if missing:
-            print(f"check failed: H_({N},{j}) has no certified zero at the lattice points "
-                  + ", ".join(missing), file=sys.stderr)
-        if strays:
-            print(f"check failed: H_({N},{j}) has certified zeros off the lattice: "
-                  + ", ".join(f"{z:.12g}" for z in strays), file=sys.stderr)
-    elif target == "special-values":
-        if args.k_max < 1:
-            raise ValueError("identities special-values: --k-max must be at least 1")
-        if 2.0 * args.k_max * math.pi > _EXP_LIMIT:  # the largest |z| checked is 2 k pi
-            raise ValueError(f"identities special-values: --k-max {args.k_max} needs H at "
-                             f"|z| = {2.0 * args.k_max * math.pi:.1f}, past its reach of "
-                             f"{_EXP_LIMIT:.1f}")
-        for k in range(1, args.k_max + 1):
-            for l in range(6):
-                good = check_special_values(k, l)
-                ok &= good
-                record = {"k": k, "l": l, "ok": good}
-                _emit(args, record, f"special values k={k} l={l}: {good}")
-    else:  # radius
-        estimate = ratio_radius(SeqParams(args.N, args.j), args.n_max)
-        record = {"N": args.N, "j": args.j, "n_max": args.n_max, "radius_over_pi": estimate}
-        _emit(args, record, f"radius/pi estimate for ({args.N},{args.j}): {estimate:.9f}")
-    return 0 if ok else 1
+    return _emit_rows(args, args.rows(analytic, args))  # each target's parser sets its rows
+
+
+def _zeta_rows(analytic, args: argparse.Namespace):
+    if args.n_max < 1:
+        raise ValueError("identities zeta: --n-max must be at least 1")
+    for formula in analytic.ZetaFormulaId:
+        for n in range(1, args.n_max + 1):
+            lhs = analytic.formula_reference(formula, n)
+            rhs = analytic.formula_value(formula, n)
+            equal = lhs == rhs
+            record = {"formula_id": formula.value, "n": n, "degree": lhs.degree,
+                      "lhs_coefficient": str(lhs.coefficient),
+                      "rhs_coefficient": str(rhs.coefficient), "equal": equal}
+            yield record, (f"{formula.value} n={n}: pi^{lhs.degree} * {lhs.coefficient} "
+                           f"{'==' if equal else '!='} {rhs.coefficient}"), equal
+
+
+def _bernoulli_rows(analytic, args: argparse.Namespace):
+    if args.n_max < 0:  # n = 0 has two displays (BernoulliDisplay.min_n)
+        raise ValueError("identities bernoulli: --n-max must be at least 0")
+    for formula in analytic.BernoulliFormulaId:
+        display = analytic.BERNOULLI_DISPLAYS[formula]
+        for n in range(display.min_n, args.n_max + 1):
+            lhs = analytic.bernoulli(display.index(n))
+            rhs = analytic.bernoulli_formula_value(formula, n)
+            equal = lhs == rhs
+            record = {"formula_id": formula.value, "n": n, "lhs": str(lhs), "rhs": str(rhs),
+                      "equal": equal}
+            yield record, f"{formula.value} n={n}: {lhs} {'==' if equal else '!='} {rhs}", equal
+
+
+def _zero_rows(analytic, args: argparse.Namespace):
+    N, j = args.family
+    if (N, j) not in analytic.ZERO_FAMILIES:
+        raise ValueError("identities zeros: --family must be one of "
+                         + " ".join(f"{a},{b}" for a, b in analytic.ZERO_FAMILIES))
+    if args.count < 1:
+        raise ValueError("identities zeros: --count must be at least 1")
+    ring = -(-args.count // N)  # the ring of the count-th zero; search halfway to the next
+    radius = sum(abs(analytic.predicted_zero((N, j), k, 0)) for k in (ring, ring + 1)) / 2
+    if radius > analytic._SEARCH_REACH:
+        raise ValueError(f"identities zeros: --count {args.count} needs the certified search "
+                         f"out to |z| = {radius:.1f}, past its reach of "
+                         f"{analytic._SEARCH_REACH:.1f}")
+    rows, strays = analytic.lattice_zeros((N, j), radius)
+    for k, l, predicted, zero in rows[:args.count]:
+        record = {"family": f"{N},{j}", "k": k, "l": l, "ok": zero is not None,
+                  "zero": None, "residual": None, "distance_to_closed_form": None}
+        text = f"H_({N},{j}) zero k={k} l={l}: no certified zero at the closed form"
+        if zero is not None:
+            residual, distance = abs(analytic.eval_H(N, j, zero)), abs(zero - predicted)
+            record.update(zero=[zero.real, zero.imag], residual=residual,
+                          distance_to_closed_form=distance)
+            text = (f"H_({N},{j}) zero k={k} l={l}: {zero:.12g} residual={residual:.2e} "
+                    f"off-lattice={distance:.2e}")
+        yield record, text, zero is not None
+    # every lattice point in the disk must be matched, printed or not
+    missing = ", ".join(f"k={k} l={l}" for k, l, _, zero in rows if zero is None)
+    failures = []
+    if missing:
+        failures.append(f"H_({N},{j}) has no certified zero at the lattice points {missing}")
+    if strays:
+        failures.append(f"H_({N},{j}) has certified zeros off the lattice: "
+                        + ", ".join(f"{z:.12g}" for z in strays))
+    if failures:  # one stderr line each
+        raise ArithmeticError("\ncheck failed: ".join(failures))
+
+
+def _special_value_rows(analytic, args: argparse.Namespace):
+    if args.k_max < 1:
+        raise ValueError("identities special-values: --k-max must be at least 1")
+    if 2.0 * args.k_max * math.pi > analytic._EXP_LIMIT:  # the largest |z| checked is 2 k pi
+        raise ValueError(f"identities special-values: --k-max {args.k_max} needs H at "
+                         f"|z| = {2.0 * args.k_max * math.pi:.1f}, past its reach of "
+                         f"{analytic._EXP_LIMIT:.1f}")
+    for k in range(1, args.k_max + 1):
+        for l in range(6):
+            good = analytic.check_special_values(k, l)
+            yield {"k": k, "l": l, "ok": good}, f"special values k={k} l={l}: {good}", good
+
+
+def _radius_rows(analytic, args: argparse.Namespace):
+    params = SeqParams(args.N, args.j)
+    if args.n_max < 10:
+        raise ValueError("identities radius: --n-max must be at least 10")
+    estimate = analytic.ratio_radius(params, args.n_max)
+    record = {"N": args.N, "j": args.j, "n_max": args.n_max, "radius_over_pi": estimate}
+    yield record, f"radius/pi estimate for ({args.N},{args.j}): {estimate:.9f}", True
 
 
 # --- cache -----------------------------------------------------------------
@@ -413,15 +410,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.set_defaults(handler=_cmd_identities)
     i_sub = p_ident.add_subparsers(dest="target", required=True)
     i_zeta = i_sub.add_parser("zeta")
+    i_zeta.set_defaults(rows=_zeta_rows)
     i_zeta.add_argument("--n-max", type=int, default=6)
     i_bern = i_sub.add_parser("bernoulli")
+    i_bern.set_defaults(rows=_bernoulli_rows)
     i_bern.add_argument("--n-max", type=int, default=6)
     i_zeros = i_sub.add_parser("zeros")
+    i_zeros.set_defaults(rows=_zero_rows)
     i_zeros.add_argument("--family", type=_family, required=True, metavar="N,J")
     i_zeros.add_argument("--count", type=int, default=3)
     i_special = i_sub.add_parser("special-values")
+    i_special.set_defaults(rows=_special_value_rows)
     i_special.add_argument("--k-max", type=int, default=2)
     i_radius = i_sub.add_parser("radius")
+    i_radius.set_defaults(rows=_radius_rows)
     _required_ints(i_radius, "N", "j")
     i_radius.add_argument("--n-max", type=int, default=40)
 

@@ -84,6 +84,19 @@ class TestCompute:
         assert "bad header 'garbage'" in err
         assert path.read_text().splitlines()[0] == "congruential-euler-cache v1 N=3 j=0"
 
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+    def test_a_cache_that_cannot_be_written_warns_and_prints_the_table(self, capsys, tmp_path,
+                                                                       below):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("kept\n")
+        args = ("compute", "--N", "3", "--j", "0", "--n-max", "4")
+        _, expected, _ = run(capsys, "--cache-dir", str(tmp_path), *args, "--no-cache")
+        code, out, err = run(capsys, "--cache-dir", str(blocker / below), *args)
+        assert (code, out) == (0, expected)
+        assert err.startswith("warning: cannot write cache file euler_N3_j0.txt: ")
+        assert blocker.read_text() == "kept\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["not-a-directory"]
+
     def test_populates_cache(self, capsys, tmp_path):
         run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", "3", "--j", "0",
             "--n-max", "4")
@@ -420,6 +433,8 @@ class TestIdentities:
         (["zeta", "--n-max", "0"], "identities zeta: --n-max must be at least 1"),
         (["special-values", "--k-max", "0"], "identities special-values: --k-max must be at least 1"),
         (["bernoulli", "--n-max", "-1"], "identities bernoulli: --n-max must be at least 0"),
+        (["radius", "--N", "4", "--j", "2", "--n-max", "5"],
+         "identities radius: --n-max must be at least 10"),
     ])
     def test_empty_range_exit_2_naming_the_option(self, capsys, tmp_path, argv, message):
         code, out, err = run(capsys, "--cache-dir", str(tmp_path), "identities", *argv)
@@ -504,6 +519,29 @@ class TestIdentities:
         rows = [json.loads(line) for line in out.splitlines()]
         assert [row["ok"] for row in rows] == [False, False]
         assert all(row["zero"] is None and row["residual"] is None for row in rows)
+
+    def test_zeros_with_a_missing_and_a_stray_zero_print_every_row_then_both_failures(
+            self, capsys, tmp_path, monkeypatch):
+        search = analytic.find_zeros_in_disk
+        dropped = analytic.predicted_zero((4, 0), 1, 1)
+
+        def perturbed(*args):
+            found = search(*args)
+            kept = [z for z in found if abs(z - dropped) > 1e-6]
+            assert len(kept) == len(found) - 1
+            return kept + [1.0 + 2.0j]
+
+        monkeypatch.setattr(analytic, "find_zeros_in_disk", perturbed)
+        code, out, err = run(
+            capsys, "--format", "json", "--cache-dir", str(tmp_path), "identities",
+            "zeros", "--family", "4,0", "--count", "3",
+        )
+        assert code == 1
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert [(row["k"], row["l"], row["ok"]) for row in rows] == [
+            (1, 0, True), (1, 1, False), (1, 2, True)]
+        assert err == ("check failed: H_(4,0) has no certified zero at the lattice points k=1 l=1\n"
+                       "check failed: H_(4,0) has certified zeros off the lattice: 1+2j\n")
 
     def test_zeros_past_modulus_18(self, capsys, tmp_path):
         code, out, _ = run(
