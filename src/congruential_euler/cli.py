@@ -103,10 +103,12 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     params = SeqParams(args.N, args.j)
     path = None if args.no_cache else _cache_path(args, params)
     held = 0  # entries of a valid cache file, which seed the memo
-    if path is not None and path.exists():
+    if path is not None:
         try:
             cached = cache_load(params, path)
-        except ValueError as exc:
+        except (FileNotFoundError, NotADirectoryError):  # nothing cached
+            pass
+        except (OSError, ValueError) as exc:
             print(f"warning: cache file {path.name} is unreadable, rewriting it: {exc}",
                   file=sys.stderr)
         else:
@@ -320,7 +322,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             text = f"{path.name}: {header} ({entries} entries)"
             _emit(args, record, text, tsv=text)  # no TSV form: the row is the text line
         return 2 if bad else 0
-    removed = [path for path in files if _CACHE_NAME.fullmatch(path.name)]  # clear
+    removed = [path for path in files if _CACHE_NAME.fullmatch(path.name) and path.is_file()]
     for path in removed:
         path.unlink()
     print(f"removed {len(removed)} cache file(s)", file=sys.stderr)

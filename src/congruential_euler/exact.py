@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, perm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 Rational = Union[int, Fraction]
 
@@ -155,10 +155,12 @@ class EgfSeries:
     """Truncated exponential generating function sum a_n z^n/n!.
 
     ``coeffs[n]`` is a_n; the truncation order is ``len(coeffs) - 1``.
-    Instances are immutable; binary operations truncate to the smaller
-    order of the two operands.  The constructor turns int coefficients
-    into ``Fraction`` and rejects any other type, floats included, so that
-    every coefficient is exact.
+    The constructor takes any sequence of ints and Fractions, turns the
+    ints into ``Fraction`` and rejects any other type, floats included, so
+    that every coefficient is exact.  Instances are immutable; sums and
+    differences truncate to the smaller order of the two operands, and an
+    int or Fraction operand acts as the constant series of the other's
+    order.  ``*`` takes only such a scalar.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -168,14 +170,6 @@ class EgfSeries:
             raise ValueError("EgfSeries needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", tuple(map(_exact_coefficient, self.coeffs)))
 
-    @staticmethod
-    def from_coeffs(values: Sequence[Rational]) -> "EgfSeries":
-        return EgfSeries(tuple(values))
-
-    @staticmethod
-    def constant(value: Rational, order: int) -> "EgfSeries":
-        return EgfSeries((value,) + (0,) * order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -183,19 +177,12 @@ class EgfSeries:
     def __getitem__(self, n: int) -> Fraction:
         return self.coeffs[n]
 
-    def _as_series(self, other: object) -> "EgfSeries | None":
-        if isinstance(other, EgfSeries):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return EgfSeries.constant(other, self.order)
-        return None
-
     def __add__(self, other: object) -> "EgfSeries":
-        rhs = self._as_series(other)
-        if rhs is None:
+        if isinstance(other, (int, Fraction)):
+            other = EgfSeries((other,) + (0,) * self.order)
+        elif not isinstance(other, EgfSeries):
             return NotImplemented
-        order = min(self.order, rhs.order)
-        return EgfSeries(tuple(self.coeffs[n] + rhs.coeffs[n] for n in range(order + 1)))
+        return EgfSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
@@ -203,16 +190,10 @@ class EgfSeries:
         return EgfSeries(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: object) -> "EgfSeries":
-        rhs = self._as_series(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
+        return self + -other
 
     def __rsub__(self, other: object) -> "EgfSeries":
-        lhs = self._as_series(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs + (-self)
+        return other + -self
 
     def __mul__(self, other: object) -> "EgfSeries":
         """Scalar multiple; the product of two series is :func:`series_multiply`."""

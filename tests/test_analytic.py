@@ -24,6 +24,7 @@ from congruential_euler.analytic import (
     extraneous_zeros,
     family_zeros,
     find_zeros_in_disk,
+    formula_reference,
     formula_value,
     lambda_even,
     lattice_zeros,
@@ -517,3 +518,16 @@ class TestRatioRadius:
         estimate = ratio_radius(SeqParams(N, j), 10)
         assert abs(estimate - by_logs) <= 1e-12 * by_logs
         assert round(estimate, 2) == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: bernoulli(-1), "bernoulli: n must be nonnegative"),
+    (lambda: formula_reference(ZetaFormulaId.zeta_4n_via_40, 0),
+     "formula_reference: n must be positive"),
+    (lambda: predicted_zero((4, 0), 0, 0), "predicted_zero: k must be positive"),
+    (lambda: predicted_zero((4, 0), 1, 4), "predicted_zero: need 0 <= l < 4"),
+    (lambda: ratio_radius(SeqParams(1, 1), 11), "ratio_radius: zero sequence value"),  # B_11 = 0
+], ids=["bernoulli", "formula_reference", "predicted_zero-k", "predicted_zero-l", "ratio_radius"])
+def test_validation_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

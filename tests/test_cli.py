@@ -97,6 +97,19 @@ class TestCompute:
         assert blocker.read_text() == "kept\n"
         assert sorted(path.name for path in tmp_path.iterdir()) == ["not-a-directory"]
 
+    def test_a_directory_at_the_cache_path_warns_and_prints_the_table(self, capsys, tmp_path):
+        (tmp_path / "euler_N4_j2.txt").mkdir()
+        args = ("compute", "--N", "4", "--j", "2", "--n-max", "4")
+        _, expected, _ = run(capsys, "--cache-dir", str(tmp_path), *args, "--no-cache")
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), *args)
+        assert (code, out) == (0, expected)
+        warnings = err.splitlines()
+        assert len(warnings) == 2
+        assert warnings[0].startswith("warning: cache file euler_N4_j2.txt is unreadable, ")
+        assert warnings[1].startswith("warning: cannot write cache file euler_N4_j2.txt: ")
+        assert [path.name for path in tmp_path.iterdir()] == ["euler_N4_j2.txt"]
+        assert (tmp_path / "euler_N4_j2.txt").is_dir()
+
     def test_populates_cache(self, capsys, tmp_path):
         run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", "3", "--j", "0",
             "--n-max", "4")
@@ -613,6 +626,15 @@ class TestCache:
         assert code == 0
         assert err == "removed 1 cache file(s)\n"
         assert [path.name for path in tmp_path.iterdir()] == [stray.name]
+
+    def test_clear_skips_a_directory_and_removes_the_rest(self, capsys, tmp_path):
+        for name in ("euler_N2_j0.txt", "euler_N4_j2.txt"):
+            (tmp_path / name).write_text("")
+        (tmp_path / "euler_N3_j0.txt").mkdir()  # sorted between the two files
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "cache", "clear")
+        assert (code, out, err) == (0, "", "removed 2 cache file(s)\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["euler_N3_j0.txt"]
+        assert (tmp_path / "euler_N3_j0.txt").is_dir()
 
     @pytest.mark.parametrize("variable, cache", [
         ("", "home/.cache/congruential-euler"),  # an empty variable counts as unset

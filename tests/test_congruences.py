@@ -505,3 +505,15 @@ def test_lemma_Xm_witnesses(monkeypatch):
         {"params": "p=2 m=1 coeff n=2", "lhs": 0, "rhs": 1},
         {"params": "p=2 m=1 coeff n=3", "lhs": 1, "rhs": 0},
     ]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_komatsu_liu(0, [(0, 2)]), "check_komatsu_liu: k must be positive"),
+    (lambda: check_prime_power(3, 0, 1, range(3)), "check_prime_power: k must be positive"),
+    (lambda: check_special_40(0, range(3)), "check_special_40: r must be positive"),
+    (lambda: check_special_60(0, 5), "check_special_60: r must be positive"),
+    (lambda: verify_lemma_Xm(2, 0, 60), "verify_lemma_Xm: m must be positive"),
+], ids=["komatsu_liu", "prime_power", "special_40", "special_60", "lemma_Xm"])
+def test_validation_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

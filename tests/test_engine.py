@@ -404,3 +404,9 @@ class TestSeedMemo:
         forget_tables(params)
         seed_memo(SeqTable(params, []))
         assert compute_table(params, 1).values == [2, Fraction(-2, 15)]
+
+
+@pytest.mark.parametrize("table", [compute_table, oracle_table], ids=lambda f: f.__name__)
+def test_negative_n_max_rejected(table):
+    with pytest.raises(ValueError, match=f"{table.__name__}: n_max must be nonnegative"):
+        table(SeqParams(2, 0), -1)

@@ -174,7 +174,7 @@ class TestRationalExactness:
 
 
 def exp_series(order: int) -> EgfSeries:
-    return EgfSeries.from_coeffs([1] * (order + 1))
+    return EgfSeries([1] * (order + 1))
 
 
 class TestSeriesMultiply:
@@ -192,8 +192,8 @@ class TestSeriesMultiply:
             assert square[2 * n - 1] == 0
 
     def test_one_is_identity(self):
-        a = EgfSeries.from_coeffs([3, Fraction(1, 2), -7, 11])
-        one = EgfSeries.constant(1, 3)
+        a = EgfSeries([3, Fraction(1, 2), -7, 11])
+        one = EgfSeries((1, 0, 0, 0))
         assert series_multiply(a, one) == a
 
     def test_truncates_to_min_order(self):
@@ -213,18 +213,18 @@ class TestSeriesInvert:
         assert all(inv[2 * n + 1] == 0 for n in range(3))
 
     def test_involution(self):
-        a = EgfSeries.from_coeffs([2, Fraction(1, 3), -1, 5, Fraction(7, 2)])
+        a = EgfSeries([2, Fraction(1, 3), -1, 5, Fraction(7, 2)])
         assert series_invert(series_invert(a)) == a
 
     def test_two_sided_inverse(self):
-        a = EgfSeries.from_coeffs([Fraction(3, 2), 1, 4, -2, 9, Fraction(-1, 7)])
+        a = EgfSeries([Fraction(3, 2), 1, 4, -2, 9, Fraction(-1, 7)])
         product = series_multiply(a, series_invert(a))
         assert product[0] == 1
         assert all(product[n] == 0 for n in range(1, product.order + 1))
 
     def test_zero_constant_term_rejected(self):
         with pytest.raises(ValueError, match="non-invertible"):
-            series_invert(EgfSeries.from_coeffs([0, 1, 1]))
+            series_invert(EgfSeries([0, 1, 1]))
 
     @given(
         st.lists(
@@ -234,7 +234,7 @@ class TestSeriesInvert:
         ).filter(lambda cs: cs[0] != 0)
     )
     def test_inverse_property_random(self, coeffs):
-        a = EgfSeries.from_coeffs(coeffs)
+        a = EgfSeries(coeffs)
         product = series_multiply(a, series_invert(a))
         assert product[0] == 1
         assert all(product[n] == 0 for n in range(1, product.order + 1))
@@ -289,22 +289,22 @@ class TestSparseSeries:
     @settings(deadline=None)
     @given(sparse_coeffs(), sparse_coeffs())
     def test_multiply_matches_dense(self, a, b):
-        product = series_multiply(EgfSeries.from_coeffs(a), EgfSeries.from_coeffs(b))
+        product = series_multiply(EgfSeries(a), EgfSeries(b))
         assert list(product.coeffs) == dense_multiply(a, b)
 
     @settings(deadline=None)
     @given(sparse_coeffs(constant_term=True))
     def test_invert_matches_dense(self, a):
-        assert list(series_invert(EgfSeries.from_coeffs(a)).coeffs) == dense_invert(a)
+        assert list(series_invert(EgfSeries(a)).coeffs) == dense_invert(a)
 
     @settings(deadline=None)
     @given(st.lists(mixed_rationals, min_size=1, max_size=25),
            st.lists(mixed_rationals, min_size=1, max_size=25))
     def test_mixed_denominators_match_dense(self, a, b):
-        product = series_multiply(EgfSeries.from_coeffs(a), EgfSeries.from_coeffs(b))
+        product = series_multiply(EgfSeries(a), EgfSeries(b))
         assert list(product.coeffs) == dense_multiply(a, b)
         if b[0]:
-            assert list(series_invert(EgfSeries.from_coeffs(b)).coeffs) == dense_invert(b)
+            assert list(series_invert(EgfSeries(b)).coeffs) == dense_invert(b)
 
     @settings(deadline=None)
     @given(sections, sections, st.integers(0, 60))
@@ -339,7 +339,7 @@ class TestPairwiseSum:
         ps = primes(2 * terms)
         a = [Fraction((-1) ** m * (m + 2), ps[m]) for m in range(terms)]
         b = [Fraction(3 * i + 1, ps[terms + i]) for i in range(terms)]
-        product = series_multiply(EgfSeries.from_coeffs(a), EgfSeries.from_coeffs(b))
+        product = series_multiply(EgfSeries(a), EgfSeries(b))
         assert list(product.coeffs) == dense_multiply(a, b)
 
     @pytest.mark.parametrize("x,y", [
@@ -349,22 +349,22 @@ class TestPairwiseSum:
     def test_exponentials_multiply_to_the_exponential_of_the_sum(self, x, y):
         # exp(xz) exp(yz) = exp((x + y)z): coefficient n is (x + y)^n
         order = 33
-        left = EgfSeries.from_coeffs([x**n for n in range(order + 1)])
-        right = EgfSeries.from_coeffs([y**n for n in range(order + 1)])
+        left = EgfSeries([x**n for n in range(order + 1)])
+        right = EgfSeries([y**n for n in range(order + 1)])
         product = series_multiply(left, right)
         assert list(product.coeffs) == [(x + y) ** n for n in range(order + 1)]
 
     def test_terms_that_cancel_give_fraction_zero(self):
         # 1/3 * (-3/35) + 1/5 * 1/7 = 0 over coprime denominators
-        a = EgfSeries.from_coeffs([Fraction(1, 3), Fraction(1, 5)])
-        b = EgfSeries.from_coeffs([Fraction(1, 7), Fraction(-3, 35)])
+        a = EgfSeries([Fraction(1, 3), Fraction(1, 5)])
+        b = EgfSeries([Fraction(1, 7), Fraction(-3, 35)])
         total = series_multiply(a, b)[1]
         assert type(total) is Fraction and total == 0 and total.denominator == 1
 
     def test_negative_sum(self):
         # 1/2 * (-1) + 1/3 * 1 = -1/6
-        a = EgfSeries.from_coeffs([Fraction(1, 2), Fraction(1, 3)])
-        b = EgfSeries.from_coeffs([1, -1])
+        a = EgfSeries([Fraction(1, 2), Fraction(1, 3)])
+        b = EgfSeries([1, -1])
         assert series_multiply(a, b)[1] == Fraction(-1, 6)
 
 
@@ -385,20 +385,58 @@ class TestExactCoefficients:
     def test_other_coefficients_rejected(self, bad):
         with pytest.raises(TypeError, match="not an int or a Fraction"):
             EgfSeries((Fraction(1), bad))
-        with pytest.raises(TypeError, match="not an int or a Fraction"):
-            EgfSeries.from_coeffs([1, bad])
-        with pytest.raises(TypeError, match="not an int or a Fraction"):
-            EgfSeries.constant(bad, 2)
+
+
+class TestSeriesArithmetic:
+    """The operand shapes of the series lemmas: a scalar acts as a constant series."""
+
+    s = EgfSeries((1, 2, Fraction(1, 2), -3))
+    t = EgfSeries((Fraction(1, 3), 0, 5))  # lower order: sums truncate to it
+
+    @pytest.mark.parametrize(
+        "expr, expected",
+        [
+            (lambda s, t: 1 - s, (0, -2, Fraction(-1, 2), 3)),
+            (lambda s, t: s - 1, (0, 2, Fraction(1, 2), -3)),
+            (lambda s, t: 1 + s, (2, 2, Fraction(1, 2), -3)),
+            (lambda s, t: 3 * s, (3, 6, Fraction(3, 2), -9)),
+            (lambda s, t: s + t, (Fraction(4, 3), 2, Fraction(11, 2))),
+            (lambda s, t: s - t, (Fraction(2, 3), 2, Fraction(-9, 2))),
+            (lambda s, t: -s, (-1, -2, Fraction(-1, 2), 3)),
+            (lambda s, t: Fraction(1, 3) - s, (Fraction(-2, 3), -2, Fraction(-1, 2), 3)),
+        ],
+        ids=["1-s", "s-1", "1+s", "3*s", "s+t", "s-t", "-s", "1/3-s"],
+    )
+    def test_operands(self, expr, expected):
+        result = expr(self.s, self.t)
+        assert isinstance(result, EgfSeries)
+        assert result.coeffs == tuple(map(Fraction, expected))
+        assert all(type(c) is Fraction for c in result.coeffs)
+
+    @pytest.mark.parametrize(
+        "expr",
+        [
+            lambda s: s + 0.5,
+            lambda s: 0.5 - s,
+            lambda s: s * s,
+            lambda s: s * 0.5,
+            lambda s: s - "x",
+        ],
+        ids=["s+0.5", "0.5-s", "s*s", "s*0.5", "s-str"],
+    )
+    def test_unsupported_operands_raise(self, expr):
+        with pytest.raises(TypeError):
+            expr(self.s)
 
 
 class TestSeriesDerivative:
     def test_is_shift(self):
-        a = EgfSeries.from_coeffs([1, 2, 3, 4, 5])
+        a = EgfSeries([1, 2, 3, 4, 5])
         d = series_derivative(a, 2)
-        assert d == EgfSeries.from_coeffs([3, 4, 5])
+        assert d == EgfSeries([3, 4, 5])
 
     def test_zero_derivative_is_identity(self):
-        a = EgfSeries.from_coeffs([1, 2, 3])
+        a = EgfSeries([1, 2, 3])
         assert series_derivative(a, 0) is a
 
     def test_kernel_series_periodicity(self):
@@ -416,7 +454,7 @@ class TestSeriesDerivative:
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            series_derivative(EgfSeries.from_coeffs([1, 2]), 5)
+            series_derivative(EgfSeries([1, 2]), 5)
 
 
 class TestShiftDown:
@@ -428,8 +466,25 @@ class TestShiftDown:
 
     def test_rejects_nonzero_low_coefficients(self):
         with pytest.raises(ValueError, match="divisible"):
-            series_shift_down(EgfSeries.from_coeffs([1, 1, 1]), 1)
+            series_shift_down(EgfSeries([1, 1, 1]), 1)
 
     def test_zero_shift_is_identity(self):
-        a = EgfSeries.from_coeffs([1, 2])
+        a = EgfSeries([1, 2])
         assert series_shift_down(a, 0) is a
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: residue_mod_prime_power(1, 4, 1), "residue_mod_prime_power: 4 is not prime"),
+    (lambda: residue_mod_prime_power(1, 3, 0), "residue_mod_prime_power: r must be positive"),
+    (lambda: EgfSeries(()), "EgfSeries needs at least the constant coefficient"),
+    (lambda: exp_section(0, 0, 3), "exp_section: need step >= 1 and offset >= 0"),
+    (lambda: exp_section(1, -1, 3), "exp_section: need step >= 1 and offset >= 0"),
+    (lambda: series_shift_down(EgfSeries((0, 1, 1)), -1),
+     "series_shift_down: need 0 <= j <= truncation order"),
+    (lambda: series_shift_down(EgfSeries((0, 1, 1)), 3),
+     "series_shift_down: need 0 <= j <= truncation order"),
+], ids=["residue-p", "residue-r", "empty-series", "exp_section-step", "exp_section-offset",
+        "shift_down-negative", "shift_down-past-order"])
+def test_validation_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
