@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import math
 import os
 import re
@@ -19,7 +18,8 @@ from pathlib import Path
 from typing import Optional
 
 # every command runs the engine; each handler imports the other library
-# modules it runs, so that a command loads only its own
+# modules it runs, and json where it reads or writes JSON, so that a
+# command loads only its own
 from .engine import (
     _any_digits,
     CacheFormatError,
@@ -71,6 +71,8 @@ def _emit(args: argparse.Namespace, record: dict, text: str, tsv: Optional[str] 
     The TSV row defaults to the record's values in key order.
     """
     if args.format == "json":
+        import json
+
         print(json.dumps(record, sort_keys=True))
     elif args.format == "tsv":
         print(tsv if tsv is not None else "\t".join(str(record[key]) for key in sorted(record)))
@@ -130,6 +132,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    import json
+
     from . import congruences
 
     report = args.check(congruences, args)  # each theorem's parser sets its check
@@ -149,6 +153,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
+    import json
+
     from .scanner import emit_table, run_reference_scan, scan_conjecture
 
     # one mode: --appendix-b, --grid FILE, or --p --m --j --r with an optional --n-max
@@ -304,7 +310,8 @@ def _radius_rows(analytic, args: argparse.Namespace):
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    files = sorted(args.cache_dir.glob("euler_N*_j*.txt"))
+    # a directory or other non-file under a cache name is not a cache file
+    files = [path for path in sorted(args.cache_dir.glob("euler_N*_j*.txt")) if path.is_file()]
     if args.action == "inspect":
         bad = 0
         for path in files:
@@ -322,7 +329,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             text = f"{path.name}: {header} ({entries} entries)"
             _emit(args, record, text, tsv=text)  # no TSV form: the row is the text line
         return 2 if bad else 0
-    removed = [path for path in files if _CACHE_NAME.fullmatch(path.name) and path.is_file()]
+    removed = [path for path in files if _CACHE_NAME.fullmatch(path.name)]
     for path in removed:
         path.unlink()
     print(f"removed {len(removed)} cache file(s)", file=sys.stderr)

@@ -27,7 +27,6 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
 from operator import mul
@@ -54,31 +53,61 @@ CACHE_HEADER_VERSION = "congruential-euler-cache v1"
 CACHE_CHECK_PRIME = 2**31 - 1  # cache_load checks every entry mod this prime
 
 
-@dataclass(frozen=True)
 class SeqParams:
     """Type (N, j) of a congruential Euler number sequence.
 
     N >= 1 is the support step; j >= 0 shifts the factorials in the kernel
     series (values beyond j = N-1 are meaningful too, e.g. (1, 1) yields
-    the Bernoulli numbers).
+    the Bernoulli numbers).  Instances are immutable and hashable, and
+    equal only to a ``SeqParams`` with the same N and j.
     """
 
-    N: int
-    j: int
+    __slots__ = ("N", "j")
 
-    def __post_init__(self) -> None:
-        if self.N < 1:
+    def __init__(self, N: int, j: int) -> None:
+        if N < 1:
             raise ValueError("SeqParams: N must be a positive integer")
-        if self.j < 0:
+        if j < 0:
             raise ValueError("SeqParams: j must be nonnegative")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "j", j)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"SeqParams is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.N, self.j) == (other.N, other.j)
+
+    def __hash__(self) -> int:
+        return hash((self.N, self.j))
+
+    def __repr__(self) -> str:
+        return f"SeqParams(N={self.N!r}, j={self.j!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
+        return self.__class__, (self.N, self.j)
 
 
-@dataclass
 class SeqTable:
     """Values E_{Nn}^{(N,j)} for n = 0..len(values) - 1 (table-index convention)."""
 
-    params: SeqParams
-    values: list[Fraction]
+    __slots__ = ("params", "values")
+
+    def __init__(self, params: SeqParams, values: list[Fraction]) -> None:
+        self.params = params
+        self.values = values
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.values) == (other.params, other.values)
+
+    def __repr__(self) -> str:
+        return f"SeqTable(params={self.params!r}, values={self.values!r})"
 
 
 # Append-only memo, one list per (N, j), unlocked: the package starts no
@@ -199,6 +228,13 @@ def residue_table(params: SeqParams, p: int, r: int, n_max: int) -> list[int]:
     The loop keeps E_m * u(Nm)^-1 and divides S_n by the unit u(Nn+j);
     unit factors change neither a valuation nor the precision below.
 
+    Carry-free rows.  The carry count c(n, m) = e(Nn+j) - e(Nm) - e(N(n-m)+j)
+    is v_p(C(Nn+j, Nm)) >= 0, and it is at most e(Nn+j), since e(Nm) and
+    e(N(n-m)+j) are >= 0.  So a row with e(Nn+j) = 0, that is Nn + j < p,
+    has every carry count 0 and every power p^0 = 1, and its sum is one
+    ``sum(map(mul, ...))`` of the kept entries against the unit inverses;
+    every other row weighs each term by its power of p.
+
     Precision, by induction on n while E_0..E_{n-1} are p-integral: the
     computed E_n agrees with the exact one mod p^{P_n}, P_n = r + sum_{k>n} v_k.
     For n = 0, E_0 = j! is exact and P_0 = R.  For n >= 1 the binomials are
@@ -243,10 +279,13 @@ def residue_table(params: SeqParams, p: int, r: int, n_max: int) -> list[int]:
     scaled = [pow(p, seed_exp[0], modulus) * units[j] % modulus]  # E_m * u(Nm)^-1
     residues = [scaled[0] % target]
     for n in range(1, n_max + 1):
-        total = sum(
-            powers[seed_exp[n] - step_exp[m] - seed_exp[n - m]] * scaled[m] * seed_inv[n - m]
-            for m in range(n)
-        ) % modulus  # S_n * u(Nn+j)^-1
+        if seed_exp[n]:
+            total = sum(
+                powers[seed_exp[n] - step_exp[m] - seed_exp[n - m]] * scaled[m] * seed_inv[n - m]
+                for m in range(n)
+            ) % modulus  # S_n * u(Nn+j)^-1
+        else:  # a carry-free row: every power is p^0
+            total = sum(map(mul, scaled, seed_inv[n:0:-1])) % modulus
         if total % p ** drops[n]:
             break
         scaled.append(-(total // p ** drops[n]) * units[j] % modulus)
@@ -322,10 +361,11 @@ def cache_load(params: SeqParams, path: Union[str, Path]) -> SeqTable:
     Guarantee: an accepted entry agrees with the true E_n mod q.  Proof.
     The check requires q > N*n_max + j, so q divides no k! with
     k <= Nn + j.  In :func:`residue_table` every Legendre exponent is then
-    0, so every v_n is 0, the working precision is R = r = 1, no entry stops
-    the list, and each rho_n = E_n (mod q) exactly.  Let a/b be accepted
-    for index n.  If q divided b, then a = rho_n * b = 0 (mod q), and a/b
-    would not be reduced; so b is a unit mod q and a/b = rho_n = E_n (mod q).
+    0, so every v_n is 0, every row is carry-free, the working precision
+    is R = r = 1, no entry stops the list, and each rho_n = E_n (mod q)
+    exactly.  Let a/b be accepted for index n.  If q divided b, then
+    a = rho_n * b = 0 (mod q), and a/b would not be reduced; so b is a
+    unit mod q and a/b = rho_n = E_n (mod q).
 
     Consequence: changing one digit of a correct numerator a is always
     rejected.  The new numerator is a' = a +- d * 10^k with 1 <= d <= 9, and

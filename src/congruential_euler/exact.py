@@ -23,7 +23,6 @@ cofactors of its partners, and only the few nodes near the root are large.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, perm
 from typing import Iterable, Iterator, Union
@@ -150,25 +149,44 @@ def _exact_coefficient(c: Rational) -> Fraction:
     raise TypeError(f"EgfSeries: coefficient {c!r} is not an int or a Fraction")
 
 
-@dataclass(frozen=True)
 class EgfSeries:
     """Truncated exponential generating function sum a_n z^n/n!.
 
     ``coeffs[n]`` is a_n; the truncation order is ``len(coeffs) - 1``.
     The constructor takes any sequence of ints and Fractions, turns the
     ints into ``Fraction`` and rejects any other type, floats included, so
-    that every coefficient is exact.  Instances are immutable; sums and
-    differences truncate to the smaller order of the two operands, and an
-    int or Fraction operand acts as the constant series of the other's
-    order.  ``*`` takes only such a scalar.
+    that every coefficient is exact.  Instances are immutable and hashable;
+    sums and differences truncate to the smaller order of the two operands,
+    and an int or Fraction operand acts as the constant series of the
+    other's order.  ``*`` takes only such a scalar.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: Iterable[Rational]) -> None:
+        coeffs = tuple(map(_exact_coefficient, coeffs))
+        if not coeffs:
             raise ValueError("EgfSeries needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(map(_exact_coefficient, self.coeffs)))
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"EgfSeries is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"EgfSeries(coeffs={self.coeffs!r})"
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
+        return self.__class__, (self.coeffs,)
 
     @property
     def order(self) -> int:

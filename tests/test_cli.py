@@ -636,6 +636,16 @@ class TestCache:
         assert [path.name for path in tmp_path.iterdir()] == ["euler_N3_j0.txt"]
         assert (tmp_path / "euler_N3_j0.txt").is_dir()
 
+    def test_inspect_skips_a_directory_and_lists_the_rest(self, capsys, tmp_path):
+        for N, j in ((2, 0), (4, 2)):
+            run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", str(N), "--j", str(j),
+                "--n-max", "3")
+        (tmp_path / "euler_N3_j0.txt").mkdir()  # sorted between the two files
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "cache", "inspect")
+        assert (code, err) == (0, "")
+        assert out == ("euler_N2_j0.txt: congruential-euler-cache v1 N=2 j=0 (4 entries)\n"
+                       "euler_N4_j2.txt: congruential-euler-cache v1 N=4 j=2 (4 entries)\n")
+
     @pytest.mark.parametrize("variable, cache", [
         ("", "home/.cache/congruential-euler"),  # an empty variable counts as unset
         ("chosen", "chosen"),

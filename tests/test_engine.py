@@ -1,5 +1,7 @@
 """Tests for the table engine, its series oracle, and the disk cache."""
 
+import copy
+import pickle
 import resource
 import sys
 import tracemalloc
@@ -60,12 +62,62 @@ class TestRecurrence:
         assert short == long[:5]
 
     def test_invalid_params(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="SeqParams: N must be a positive integer"):
             SeqParams(0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="SeqParams: j must be nonnegative"):
             SeqParams(2, -1)
         with pytest.raises(ValueError):
             euler_number(SeqParams(2, 0), -1)
+
+
+class TestValueClasses:
+    """SeqParams is an immutable, hashable value; SeqTable is a mutable record."""
+
+    def test_params_equality_and_hash(self):
+        params = SeqParams(4, 2)
+        assert params == SeqParams(N=4, j=2) and not params != SeqParams(4, 2)
+        assert params != SeqParams(4, 1) and params != SeqParams(3, 2)
+        assert params != (4, 2) and not params == (4, 2)
+        assert hash(params) == hash(SeqParams(4, 2))
+        assert {params: "kept"}[SeqParams(4, 2)] == "kept"
+        assert len({params, SeqParams(4, 2), SeqParams(2, 4)}) == 2
+
+    def test_params_repr(self):
+        assert repr(SeqParams(4, 2)) == "SeqParams(N=4, j=2)"
+
+    def test_params_are_immutable(self):
+        params = SeqParams(4, 2)
+        with pytest.raises(AttributeError):
+            params.N = 5
+        with pytest.raises(AttributeError):
+            params.other = 5
+        with pytest.raises(AttributeError):
+            del params.j
+        assert (params.N, params.j) == (4, 2)
+
+    def test_table_equality_and_repr(self):
+        table = SeqTable(SeqParams(2, 0), [Fraction(1), Fraction(-1)])
+        assert table == compute_table(SeqParams(2, 0), 1)
+        assert table == SeqTable(params=SeqParams(2, 0), values=[1, -1])
+        assert not table != SeqTable(SeqParams(2, 0), [1, -1])
+        assert table != SeqTable(SeqParams(2, 1), [1, -1])
+        assert table != SeqTable(SeqParams(2, 0), [1])
+        assert table != (SeqParams(2, 0), [1, -1])
+        assert repr(table) == (
+            "SeqTable(params=SeqParams(N=2, j=0), values=[Fraction(1, 1), Fraction(-1, 1)])"
+        )
+
+    def test_table_is_mutable_and_unhashable(self):
+        table = SeqTable(SeqParams(2, 0), [Fraction(1)])
+        table.values = [Fraction(1), Fraction(-1)]
+        assert table == compute_table(SeqParams(2, 0), 1)
+        with pytest.raises(TypeError):
+            hash(table)
+
+    def test_copies_are_equal(self):
+        for value in (SeqParams(4, 2), compute_table(SeqParams(4, 2), 3)):
+            assert pickle.loads(pickle.dumps(value)) == value
+            assert copy.deepcopy(value) == value
 
 
 def plain_recurrence(N: int, j: int, n_max: int) -> list[Fraction]:
@@ -137,6 +189,16 @@ def test_oracle_bernoulli_odd_indices_vanish():
     assert all(values[n] == 0 for n in range(3, 13, 2))
 
 
+def exact_residues(N: int, j: int, p: int, r: int, n_max: int) -> list[int]:
+    """Reference: the exact table mod p^r, up to its first entry that is not p-integral."""
+    residues = []
+    for value in compute_table(SeqParams(N, j), n_max).values:
+        if value.denominator % p == 0:
+            break  # the residue table stops at the first non-integral entry
+        residues.append(residue_mod_prime_power(value, p, r))
+    return residues
+
+
 class TestResidueTable:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -153,12 +215,7 @@ class TestResidueTable:
     @example(N=6, j=3, p=3, r=3, n_max=20)  # nonzero drops v_n
     @example(N=42, j=9, p=7, r=2, n_max=12)
     def test_matches_exact_residues(self, N, j, p, r, n_max):
-        expected = []
-        for value in compute_table(SeqParams(N, j), n_max).values:
-            if value.denominator % p == 0:
-                break  # the residue table stops at the first non-integral entry
-            expected.append(residue_mod_prime_power(value, p, r))
-        assert residue_table(SeqParams(N, j), p, r, n_max) == expected
+        assert residue_table(SeqParams(N, j), p, r, n_max) == exact_residues(N, j, p, r, n_max)
 
     def test_bernoulli_stops_at_b1_for_p_2(self):
         # B_1 = -1/2
@@ -180,6 +237,16 @@ class TestResidueTable:
         assert residue_table(params, 3, 5, 60) == [
             residue_mod_prime_power(value, 3, 5) for value in exact
         ]
+
+    @pytest.mark.parametrize("N,j,p,r,n_max,carry_free,length", [
+        (4, 0, 101, 2, 40, 26, 41),  # rows n <= 25 have 4n < 101
+        (3, 1, 29, 3, 30, 10, 19),  # rows n <= 9 have 3n + 1 < 29; entry 19 is not 29-integral
+    ])
+    def test_carry_free_rows_then_carry_rows(self, N, j, p, r, n_max, carry_free, length):
+        assert sum(N * n + j < p for n in range(n_max + 1)) == carry_free
+        expected = exact_residues(N, j, p, r, n_max)
+        assert len(expected) == length
+        assert residue_table(SeqParams(N, j), p, r, n_max) == expected
 
     @pytest.mark.parametrize("p,r,n_max", [(4, 1, 5), (3, 0, 5), (3, 1, -1)])
     def test_invalid_arguments(self, p, r, n_max):

@@ -1,5 +1,7 @@
 """Tests for the exact arithmetic substrate."""
 
+import copy
+import pickle
 from fractions import Fraction
 from itertools import takewhile
 from math import comb
@@ -385,6 +387,39 @@ class TestExactCoefficients:
     def test_other_coefficients_rejected(self, bad):
         with pytest.raises(TypeError, match="not an int or a Fraction"):
             EgfSeries((Fraction(1), bad))
+
+
+class TestSeriesValue:
+    """An EgfSeries is an immutable, hashable value, equal to a series of the same coefficients."""
+
+    def test_equality_and_hash(self):
+        a = EgfSeries((1, Fraction(1, 2)))
+        assert a == EgfSeries(coeffs=[Fraction(1), Fraction(1, 2)])
+        assert not a != EgfSeries((1, Fraction(1, 2)))
+        assert a != EgfSeries((1, Fraction(1, 3))) and a != EgfSeries((1,))
+        assert a != (Fraction(1), Fraction(1, 2)) and not a == (Fraction(1), Fraction(1, 2))
+        assert hash(a) == hash(EgfSeries((1, Fraction(1, 2))))
+        assert {a: "kept"}[EgfSeries((1, Fraction(1, 2)))] == "kept"
+
+    def test_repr(self):
+        assert repr(EgfSeries((1, Fraction(1, 2)))) == (
+            "EgfSeries(coeffs=(Fraction(1, 1), Fraction(1, 2)))"
+        )
+
+    def test_immutable(self):
+        a = EgfSeries((1, 2))
+        with pytest.raises(AttributeError):
+            a.coeffs = (Fraction(3),)
+        with pytest.raises(AttributeError):
+            a.other = 1
+        with pytest.raises(AttributeError):
+            del a.coeffs
+        assert a.coeffs == (Fraction(1), Fraction(2))
+
+    def test_copies_are_equal(self):
+        a = EgfSeries((1, Fraction(1, 2)))
+        assert pickle.loads(pickle.dumps(a)) == a
+        assert copy.deepcopy(a) == a
 
 
 class TestSeriesArithmetic:

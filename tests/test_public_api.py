@@ -1,6 +1,7 @@
 """The package exports every public name of its library modules, and loads each on first use."""
 
 import inspect
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -73,3 +74,22 @@ def test_cli_stays_out_of_the_package_import(tmp_path, code, modules):
     # and each use loads only the library modules it runs
     expected = ["congruential_euler", *(f"congruential_euler.{module}" for module in modules)]
     assert _loaded(code, tmp_path) == expected
+
+
+def test_a_text_compute_loads_neither_dataclasses_nor_json(tmp_path):
+    # a text table needs no JSON, and the engine's value classes need no dataclasses
+    probe = ("import sys\nfrom congruential_euler import cli\n"
+             "args = ['--cache-dir', sys.argv[1], 'compute', '--N', '4', '--j', '2',\n"
+             "        '--n-max', '3']\n"
+             "for _ in range(2):  # cold, then warm\n"
+             "    assert cli.main(args) == 0\n"
+             "print('loaded:', *sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+             "assert cli.main(['--format', 'json', *args]) == 0\n")
+    run = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], cwd=SRC,
+                         capture_output=True, text=True, check=True, timeout=60)
+    lines = run.stdout.splitlines()
+    assert lines[:8] == 2 * ["0 2/1", "1 -2/15", *lines[2:4]]
+    assert lines[8] == "loaded:"
+    assert [json.loads(line) for line in lines[9:]] == [
+        {"n": n, "value": text.split()[1]} for n, text in enumerate(lines[:4])
+    ]
