@@ -8,13 +8,15 @@ Tables are filled by the lower-triangular recurrence
     sum_{m=0}^{n} C(Nn+j, Nm) E_{Nm} = (j! if n = 0 else 0)
 
 and can be cross-checked against an independent series-inversion oracle.
-The binomials of row n, C(Nn+j, Nm) for m = 0..n, are stepped along the
-row by :func:`exact.binomial_row`; the last of them, C(Nn+j, Nn) =
-C(Nn+j, j), is the divisor.  The recurrence sums in integers: it keeps
-every entry times one common denominator, grows that denominator only
-when a division needs it, and reduces each new entry once, when it goes
-into the memo (see :func:`_extend`).  For j = 0 the divisor is 1 and the
-loop never leaves the integers.  The oracle stays an independent route:
+Row n is summed by Horner's rule: C(Nn+j, Nm) = perm(Nn+j, Nm) / (Nm)!,
+and perm(Nn+j, Nm) grows along the row by the small factors
+perm(Nk+j, N), so each step multiplies the running sum by a number a few
+words wide; the divisor is C(Nn+j, Nn) = C(Nn+j, j).  The recurrence sums
+in integers: it keeps every entry times one common denominator and one
+factorial cofactor, grows that denominator only when a division needs
+it, and reduces each new entry once, when it goes into the memo (see
+:func:`_extend`).  For j = 0 the divisor is 1 and the loop never leaves
+the integers.  The oracle stays an independent route:
 its series inverse weighs terms by C(n, m), not by C(Nn+j, Nm), and
 reduces each coefficient by its own arithmetic.
 :func:`residue_table` runs the same recurrence in Z/p^R and returns the
@@ -28,12 +30,12 @@ import re
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import comb, factorial, gcd, lcm, perm
 from operator import mul
 from pathlib import Path
 from typing import Union
 
-from .exact import binomial_row, exp_section, is_prime, series_invert, series_shift_down
+from .exact import exp_section, is_prime, series_invert, series_shift_down
 
 __all__ = [
     "SeqParams",
@@ -123,40 +125,72 @@ def _memo(params: SeqParams) -> list[Fraction]:
 def _extend(params: SeqParams, n_max: int) -> list[Fraction]:
     """The memo's list for ``params``, extended by the recurrence to n_max if shorter.
 
-    The loop works on integers ``scaled[m] = scale * E_m``, where ``scale``
-    starts as the lcm of the memo's denominators.  Row n takes
+    Row n, with M = Nn + j, needs S_n = sum_{m<n} C(M, Nm) * E_m and sets
+    E_n = -S_n / d with the divisor d = C(M, j).  The loop sums S_n by
+    Horner's rule, whose multipliers are a few words wide, instead of
+    weighing each entry by a binomial as wide as M.
 
-        total = -sum_{m<n} C(Nn+j, Nm) * scaled[m] = scale * E_n * d,
+    Horner rows.  C(M, Nm) = perm(M, Nm) / (Nm)!, and perm(M, N(m+1)) =
+    perm(M, Nm) * s_{n-m} with s_k = perm(Nk+j, N), a number of at most
+    N * log2(Nk+j) bits (the list ``steps`` holds s_1..s_{n_max}).  Let
+    top = (N(n_max-1))!, the largest (Nm)! a row reads, and keep the
+    integers ``lifted[m] = scale * E_m * top / (Nm)!``, where ``scale``
+    starts as the lcm of the memo's denominators.  Row n runs
 
-    with d = C(Nn+j, j) the divisor, g = gcd(total, d) and grow = d // g.
-    If grow > 1, ``scale`` and every ``scaled[m]`` are multiplied by grow,
-    and the new entry is ``scaled[n] = total // g``.
+        acc = acc * s_{n-m} + lifted[m]    for m = n-1 down to 0,
 
-    Exactness.  g divides total, so d divides total * grow = (total / g) * d
-    and total // g = total * grow / d = scale * grow * E_n with no
-    remainder.  After the rescaling, scaled[m] = scale * E_m holds for
-    every m <= n, by induction on n.  For j = 0, d = 1, so grow is always
-    1 and the loop is pure integers.  Each new entry is reduced once, as
-    ``Fraction(scaled[n], scale)``, when it goes into the memo, so the memo
-    holds the same reduced values as a term-by-term ``Fraction`` sum.
+    from acc = 0, so lifted[m] ends up weighed by s_{n-m+1} * ... * s_n =
+    perm(M, Nm), and acc = sum_{m<n} perm(M, Nm) * lifted[m]
+    = top * scale * S_n.  Then total = -(acc // top) = scale * E_n * d,
+    g = gcd(total, d) and grow = d // g.  If grow > 1, ``scale`` and every
+    ``lifted[m]`` are multiplied by grow.  The new entry joins the memo as
+    ``Fraction(total // g, scale)`` and, if a later row reads it, joins
+    ``lifted`` times its cofactor top / (Nn)!.
+
+    Exactness.  A row reads only m <= n_max - 1, so Nm <= N(n_max-1)
+    and (Nm)! divides top: each cofactor top / (Nm)! is an integer, and
+    stepping it along m, by exact division by perm(Nm, N) =
+    (Nm)! / (N(m-1))!, keeps it one.  So each lifted[m] is an integer
+    while scale * E_m is.  scale * S_n = sum_{m<n} C(M, Nm) * scale * E_m
+    is an integer too, so top divides acc = top * scale * S_n and
+    acc // top has no remainder.  g divides total, so d divides
+    total * grow = (total / g) * d and total // g = total * grow / d =
+    scale * grow * E_n with no remainder.  After the rescaling,
+    lifted[m] = scale * E_m * top / (Nm)! holds for every m <= n, by
+    induction on n.  For j = 0, d = 1, so grow is always 1 and the loop is
+    pure integers.  Each new entry is reduced once, when it goes into the
+    memo, so the memo holds the same reduced values as a term-by-term
+    ``Fraction`` sum.
     """
     N, j = params.N, params.j
     values = _memo(params)
     start = len(values)
     if start > n_max:
         return values
+    top = factorial(N * (n_max - 1))
     scale = lcm(*(value.denominator for value in values))
-    scaled = [value.numerator * (scale // value.denominator) for value in values]
+    steps = [perm(N * k + j, N) for k in range(1, n_max + 1)]  # s_1..s_{n_max}
+    lifted, cofactor = [], top
+    for m, value in enumerate(values):
+        if m:
+            cofactor //= perm(N * m, N)  # top / (Nm)!
+        lifted.append(value.numerator * (scale // value.denominator) * cofactor)
     for n in range(start, n_max + 1):
-        *weights, divisor = binomial_row(N * n + j, range(0, N * n + 1, N))
-        total = -sum(map(mul, weights, scaled))
+        acc = 0
+        for step, u in zip(steps, reversed(lifted)):  # m = n-1 down to 0
+            acc = acc * step + u
+        total = -(acc // top)
+        divisor = comb(N * n + j, j)
         g = gcd(total, divisor)
         grow = divisor // g
         if grow > 1:
             scale *= grow
-            scaled = [u * grow for u in scaled]
-        scaled.append(total // g)
-    values += [Fraction(u, scale) for u in scaled[start:]]
+            lifted = [u * grow for u in lifted]
+        entry = total // g  # scale * E_n
+        values.append(Fraction(entry, scale))
+        if n < n_max:
+            cofactor //= perm(N * n, N)  # top / (Nn)!
+            lifted.append(entry * cofactor)
     return values
 
 

@@ -40,13 +40,16 @@ def default_digit_limit():
 
 @pytest.fixture
 def count_rows(monkeypatch):
-    """Count the rows the exact recurrence computes from here on (one binomial row each)."""
+    """Count the rows the exact recurrence computes from here on, recording Nn + j of each.
+
+    Each row takes its divisor C(Nn+j, j) from one ``engine.comb`` call.
+    """
     calls = []
-    row = engine.binomial_row
+    comb = engine.comb
 
-    def counting_row(n, ks):
+    def counting_comb(n, k):
         calls.append(n)
-        return row(n, ks)
+        return comb(n, k)
 
-    monkeypatch.setattr(engine, "binomial_row", counting_row)
+    monkeypatch.setattr(engine, "comb", counting_comb)
     return calls

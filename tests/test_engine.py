@@ -135,6 +135,10 @@ class TestScaledRecurrence:
            first=st.integers(0, 25))
     @example(N=1, j=1, n_max=25, first=0)
     @example(N=3, j=7, n_max=25, first=9)
+    # the lcm of the denominators grows in 43 (6, 3) and 59 (3, 5) of these
+    # 60 rows, so grow rescales every lifted entry again and again
+    @example(N=6, j=3, n_max=60, first=0)
+    @example(N=3, j=5, n_max=60, first=0)
     def test_matches_plain_fraction_recurrence(self, N, j, n_max, first):
         params = SeqParams(N, j)
         engine._TABLES.pop(params, None)
@@ -152,6 +156,16 @@ class TestScaledRecurrence:
             stepped = compute_table(params, n_max).values
         forget_tables(params)
         assert stepped == compute_table(params, 40).values
+
+    @pytest.mark.parametrize("N,j", [(1, 1), (3, 5)])
+    def test_growing_one_row_per_call_equals_one_shot(self, forget_tables, N, j):
+        # one euler_number call per row, as analytic.bernoulli makes them:
+        # each call takes a new top and lifts the whole memo again
+        params = SeqParams(N, j)
+        forget_tables(params)
+        grown = [euler_number(params, n) for n in range(41)]
+        forget_tables(params)
+        assert grown == compute_table(params, 40).values
 
     def test_extending_a_seeded_rational_prefix_equals_the_oracle(self, forget_tables, count_rows):
         params = SeqParams(4, 2)
