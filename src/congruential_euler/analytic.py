@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import factorial, perm
+from operator import mul
 from typing import Callable
 
 from .engine import SeqParams, compute_table, euler_number
@@ -227,7 +228,7 @@ def _display_sum(display: BernoulliDisplay, n: int) -> Fraction:
     params = SeqParams(*display.params)
     top = display.index(n) + params.j - 1
     weights = binomial_row(top, range(0, top + 1, params.N))
-    return sum((weight * euler_number(params, m) for m, weight in enumerate(weights)), Fraction(0))
+    return sum(map(mul, weights, compute_table(params, top // params.N).values))
 
 
 BERNOULLI_DISPLAYS = {
@@ -389,8 +390,12 @@ def locate_zero(N: int, j: int, guess: complex, tol: float = 1e-12) -> complex:
     below ``tol``, or once the step has stalled and the residual is below
     max(tol, rounding_floor(N, z, M(z))): beyond |z| of about 18 the
     rounding of eval_H alone exceeds any fixed tolerance.  H and M come
-    from one _evaluate pass at each iterate.  Raises if neither holds
-    after _NEWTON_STEPS steps, reporting the last iterate.
+    from one _evaluate pass at each iterate.  Raises ValueError if
+    |guess| > _EXP_LIMIT, where eval_H cannot evaluate.  Raises
+    ArithmeticError, naming the last iterate, on a zero derivative, on a
+    Newton step that would leave |z| <= _EXP_LIMIT (as from a guess where
+    H' is only a rounding residue), and if neither acceptance test holds
+    after _NEWTON_STEPS steps.
     """
     z = complex(guess)
     j_prime = (j - 1) % N
@@ -403,6 +408,8 @@ def locate_zero(N: int, j: int, guess: complex, tol: float = 1e-12) -> complex:
         if derivative == 0:
             raise ArithmeticError(f"locate_zero: zero derivative at {z}")
         step = value / derivative
+        if abs(z - step) > _EXP_LIMIT:
+            raise ArithmeticError(f"locate_zero: Newton step leaves the exp range, last iterate {z}")
         z -= step
         value, majorant = _evaluate(N, j, z)
         residual = abs(value)
@@ -634,7 +641,7 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
         if count == 1:
             try:
                 z = locate_zero(N, j, complex((x0 + x1) / 2, (y0 + y1) / 2), tol=0.0)
-            except (ArithmeticError, ValueError):
+            except ArithmeticError:
                 z = None
             if z is not None and x0 <= z.real <= x1 and y0 <= z.imag <= y1:
                 zeros.append(z)

@@ -35,7 +35,7 @@ from operator import mul
 from pathlib import Path
 from typing import Union
 
-from .exact import exp_section, is_prime, series_invert, series_shift_down
+from .exact import _Record, _Value, exp_section, is_prime, series_invert, series_shift_down
 
 __all__ = [
     "SeqParams",
@@ -55,7 +55,7 @@ CACHE_HEADER_VERSION = "congruential-euler-cache v1"
 CACHE_CHECK_PRIME = 2**31 - 1  # cache_load checks every entry mod this prime
 
 
-class SeqParams:
+class SeqParams(_Value):
     """Type (N, j) of a congruential Euler number sequence.
 
     N >= 1 is the support step; j >= 0 shifts the factorials in the kernel
@@ -74,27 +74,8 @@ class SeqParams:
         object.__setattr__(self, "N", N)
         object.__setattr__(self, "j", j)
 
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"SeqParams is immutable: cannot set or delete {name!r}")
 
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.N, self.j) == (other.N, other.j)
-
-    def __hash__(self) -> int:
-        return hash((self.N, self.j))
-
-    def __repr__(self) -> str:
-        return f"SeqParams(N={self.N!r}, j={self.j!r})"
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
-        return self.__class__, (self.N, self.j)
-
-
-class SeqTable:
+class SeqTable(_Record):
     """Values E_{Nn}^{(N,j)} for n = 0..len(values) - 1 (table-index convention)."""
 
     __slots__ = ("params", "values")
@@ -102,14 +83,6 @@ class SeqTable:
     def __init__(self, params: SeqParams, values: list[Fraction]) -> None:
         self.params = params
         self.values = values
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.params, self.values) == (other.params, other.values)
-
-    def __repr__(self) -> str:
-        return f"SeqTable(params={self.params!r}, values={self.values!r})"
 
 
 # Append-only memo, one list per (N, j), unlocked: the package starts no

@@ -149,7 +149,47 @@ def _exact_coefficient(c: Rational) -> Fraction:
     raise TypeError(f"EgfSeries: coefficient {c!r} is not an int or a Fraction")
 
 
-class EgfSeries:
+class _Record:
+    """A record of the fields named by its class's ``__slots__``.
+
+    It is equal only to an instance of its own class whose fields are
+    equal, and its repr is ``Name(field=value, ...)``.  Defining ``__eq__``
+    leaves it unhashable.
+    """
+
+    __slots__ = ()
+
+    def _state(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._state() == other._state()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+
+class _Value(_Record):
+    """An immutable, hashable _Record; ``__init__`` sets its fields with ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self) -> int:
+        return hash(self._state())
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
+        return self.__class__, self._state()
+
+
+class EgfSeries(_Value):
     """Truncated exponential generating function sum a_n z^n/n!.
 
     ``coeffs[n]`` is a_n; the truncation order is ``len(coeffs) - 1``.
@@ -168,25 +208,6 @@ class EgfSeries:
         if not coeffs:
             raise ValueError("EgfSeries needs at least the constant coefficient")
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"EgfSeries is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"EgfSeries(coeffs={self.coeffs!r})"
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
-        return self.__class__, (self.coeffs,)
 
     @property
     def order(self) -> int:

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from congruential_euler import analytic
+from congruential_euler import analytic, engine
 from congruential_euler.analytic import (
     BERNOULLI_DISPLAYS,
     ZERO_FAMILIES,
@@ -137,6 +137,20 @@ class TestBernoulliDisplays:
         with pytest.raises(ValueError, match="at least 1"):
             bernoulli_formula_value(BernoulliFormulaId.b4n_via_40, 0)
 
+    def test_display_grows_its_table_in_one_call(self, forget_tables, monkeypatch):
+        forget_tables(SeqParams(6, 3))
+        calls = []
+        extend = engine._extend
+
+        def counting_extend(params, n_max):
+            calls.append((params, n_max))
+            return extend(params, n_max)
+
+        monkeypatch.setattr(engine, "_extend", counting_extend)
+        value = bernoulli_formula_value(BernoulliFormulaId.b6n_via_63, 20)
+        assert calls == [(SeqParams(6, 3), 20)]  # E_0..E_20 of (6, 3): 6 * 20 <= 120 + 3 - 1
+        assert value == bernoulli(120)
+
     def test_least_n_from_the_shared_sum(self):
         # the least n with index(n) >= 0 and a binomial top index(n) + j - 1 >= 0
         assert [BERNOULLI_DISPLAYS[f].min_n for f in BernoulliFormulaId] == [1, 1, 0, 1, 0, 1]
@@ -232,6 +246,19 @@ class TestZeros:
         monkeypatch.setattr(analytic, "_NEWTON_STEPS", 2)
         with pytest.raises(ArithmeticError):
             locate_zero(4, 0, 100 + 100j)
+
+    def test_zero_derivative_raises(self, monkeypatch):
+        monkeypatch.setattr(analytic, "eval_H", lambda N, j, z: 0j)
+        with pytest.raises(ArithmeticError, match=r"zero derivative at \(1\+1j\)"):
+            locate_zero(4, 0, 1 + 1j)
+
+    def test_step_out_of_exp_range_raises_arithmetic_error(self):
+        # H_{2,0}' = sinh evaluates to a rounding residue of about 6e-17 at 0,
+        # so the first Newton step would land far beyond |z| = 700
+        with pytest.raises(ArithmeticError, match=r"leaves the exp range, last iterate 0j"):
+            locate_zero(2, 0, 0j)
+        with pytest.raises(ValueError, match="exp range"):  # a guess out of range is bad input
+            locate_zero(2, 0, 701)
 
     @pytest.mark.parametrize("family,k", [((4, 0), 5), ((4, 2), 5), ((6, 3), 3)])
     def test_zeros_past_modulus_18(self, family, k):

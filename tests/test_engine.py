@@ -380,6 +380,14 @@ class TestCache:
         assert cache_load(SeqParams(42, 9), path).values == table.values
         assert sys.get_int_max_str_digits() == 4300
 
+    def test_round_trip_on_a_python_without_the_digit_limit(self, tmp_path, monkeypatch):
+        # Pythons before 3.10.7 have no sys.set_int_max_str_digits, and no limit to lift
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        table = compute_table(SeqParams(4, 2), 6)
+        path = tmp_path / "euler.txt"
+        cache_store(table, path)
+        assert cache_load(SeqParams(4, 2), path).values == table.values
+
     def test_unreduced_fraction_rejected(self, tmp_path):
         path = tmp_path / "euler.txt"
         path.write_text("congruential-euler-cache v1 N=2 j=0\n0 2/4\n")
