@@ -15,15 +15,17 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
 from math import factorial, perm
 from operator import mul
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from .engine import SeqParams, compute_table, euler_number
-from .exact import binomial_row
+from .exact import _Value, binomial_row
+
+if TYPE_CHECKING:
+    from .engine import SeqParams
 
 __all__ = [
     "PiPolynomial",
@@ -53,16 +55,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PiPolynomial:
-    """An exact rational multiple of a fixed even power of pi."""
+class PiPolynomial(_Value):
+    """An exact rational multiple of a fixed even power of pi: coefficient * pi^degree."""
 
-    degree: int
-    coefficient: Fraction
+    __slots__ = ("degree", "coefficient")
 
-    def __post_init__(self) -> None:
-        if self.degree < 2 or self.degree % 2 != 0:
+    def __init__(self, degree: int, coefficient: Fraction) -> None:
+        if degree < 2 or degree % 2 != 0:
             raise ValueError("PiPolynomial: degree must be even and at least 2")
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coefficient", coefficient)
 
 
 class ZetaFormulaId(Enum):
@@ -91,6 +93,8 @@ class BernoulliFormulaId(Enum):
 
 def bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n, read off the (N, j) = (1, 1) sequence."""
+    from .engine import SeqParams, euler_number
+
     if n < 0:
         raise ValueError("bernoulli: n must be nonnegative")
     return euler_number(SeqParams(1, 1), n)
@@ -113,19 +117,25 @@ def lambda_even(k: int) -> PiPolynomial:
     return PiPolynomial(k, base.coefficient * (1 - Fraction(1, 2**k)))
 
 
-@dataclass(frozen=True)
-class _ZetaDisplay:
+class _ZetaDisplay(_Value):
     """One zeta/lambda display: (-1)^{n+1} prefactor(n) times a Bernoulli display's sum.
 
-    The power of pi is that Bernoulli display's index.  The prefactor is
+    ``bernoulli`` names the Bernoulli display whose sum it multiplies, and
+    the power of pi is that display's index; ``is_lambda`` marks a
+    left-hand side lambda(k) rather than zeta(k).  The prefactor is
     transcribed from the print, not derived from Euler's formula, so the
     check still tests the printed display.  The sqrt(2) powers are even, so
     every prefactor is an exact rational.
     """
 
-    bernoulli: BernoulliFormulaId  # whose sum this display multiplies
-    prefactor: Callable[[int], Fraction]
-    is_lambda: bool  # left-hand side lambda(k) rather than zeta(k)
+    __slots__ = ("bernoulli", "prefactor", "is_lambda")
+
+    def __init__(
+        self, bernoulli: BernoulliFormulaId, prefactor: Callable[[int], Fraction], is_lambda: bool
+    ) -> None:
+        object.__setattr__(self, "bernoulli", bernoulli)
+        object.__setattr__(self, "prefactor", prefactor)
+        object.__setattr__(self, "is_lambda", is_lambda)
 
 
 _ZETA_DISPLAYS = {
@@ -196,8 +206,7 @@ def check_zeta_identity(formula: ZetaFormulaId, n: int) -> bool:
     return formula_value(formula, n) == formula_reference(formula, n)
 
 
-@dataclass(frozen=True)
-class BernoulliDisplay:
+class BernoulliDisplay(_Value):
     """One Bernoulli display B_{index(n)} = prefactor(n) * _display_sum(display, n).
 
     Every display of the paper has the subscript index(n) = N n - offset
@@ -208,9 +217,14 @@ class BernoulliDisplay:
     index(n) >= 0 and t >= 0.
     """
 
-    params: tuple[int, int]
-    offset: int
-    prefactor: Callable[[int], Fraction]
+    __slots__ = ("params", "offset", "prefactor")
+
+    def __init__(
+        self, params: tuple[int, int], offset: int, prefactor: Callable[[int], Fraction]
+    ) -> None:
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "prefactor", prefactor)
 
     def index(self, n: int) -> int:
         """Subscript of the Bernoulli number the display gives at n."""
@@ -225,6 +239,8 @@ class BernoulliDisplay:
 
 def _display_sum(display: BernoulliDisplay, n: int) -> Fraction:
     """The sum every display multiplies: sum_{Nm <= t} C(t, Nm) E_{Nm}, t = index(n) + j - 1."""
+    from .engine import SeqParams, compute_table
+
     params = SeqParams(*display.params)
     top = display.index(n) + params.j - 1
     weights = binomial_row(top, range(0, top + 1, params.N))
@@ -281,7 +297,9 @@ _MATCH_TOL = 1e-9  # a certified zero this close to a lattice point is that poin
 
 _EXP_LIMIT = 700.0  # beyond this, exp overflows doubles
 _NEWTON_STEPS = 50  # locate_zero gives up after this many Newton steps
-_EdgeMap = dict[tuple[complex, complex], float]  # walked edge (a, b) -> certified change of arg
+# one search's walks: each axis-parallel line (horizontal, level) -> its walked
+# segments, and each walk's end or read corner z -> the computed H(z) (see _box_count)
+_Walked = dict
 
 
 @functools.lru_cache(maxsize=64)
@@ -483,7 +501,7 @@ def _taylor_bound(m: int, r: float) -> float:
     return bound
 
 
-def _edge_phase(N: int, j: int, a: complex, b: complex) -> float:
+def _edge_phase(N: int, j: int, a: complex, b: complex, pieces: list | None = None) -> float:
     """Change of arg H_{N,j} along the segment from a to b, certified.
 
     The segment is walked in pieces [p, p + h] with h <= 1/2.  The
@@ -515,10 +533,19 @@ def _edge_phase(N: int, j: int, a: complex, b: complex) -> float:
        phases summed around a closed polygon are 2 pi times the number of
        zeros of H inside it (argument principle), up to the rounding of a
        sum of a few thousand phases, far below pi.
+    4. Every point c of the piece lies in the disk of step 1, and F(p)
+       covers the rounding at c as at the piece's end, so the principal
+       phase of (computed value at c / Hc(p)) is exactly the change of arg
+       along the path of step 2 stopped at c.  A sub-segment is read this
+       way (_read_edge): its change of arg is the difference of two such
+       readings, and as each reading computes H at its point itself, the
+       connectors at a box's corners still cancel.
 
     A piece that cannot be accepted before h < 1e-9 max(1, |p|) means a
     zero on or within about that distance of the segment: ArithmeticError
-    is raised rather than a count guessed.
+    is raised rather than a count guessed.  If ``pieces`` is given, the
+    walk appends to it (p, Hc(p), change of arg from a to p) for the start
+    p of every accepted piece, and last (b, Hc(b), the total).
     """
     m = (j - 1) % N
     length = abs(b - a)
@@ -526,6 +553,9 @@ def _edge_phase(N: int, j: int, a: complex, b: complex) -> float:
     done = 0.0
     value, majorant = _evaluate(N, j, a)  # H and M at the start of each piece
     total = 0.0
+    if pieces is None:
+        pieces = []
+    pieces.append((a, value, 0.0))
     while done < length:
         point = a + done * direction
         room = abs(value) - rounding_floor(N, point, majorant)
@@ -545,28 +575,82 @@ def _edge_phase(N: int, j: int, a: complex, b: complex) -> float:
         following, majorant = _evaluate(N, j, end)
         total += cmath.phase(following / value)
         value = following
+        pieces.append((end, value, total))
     return total
 
 
-def _box_count(N: int, j: int, box: tuple[float, float, float, float], walked: _EdgeMap) -> int:
+def _line(a: complex, b: complex) -> tuple[tuple[bool, float], float, float]:
+    """The line (horizontal, level) of the axis-parallel edge (a, b), and a's and b's places on it."""
+    if a.imag == b.imag:
+        return (True, a.imag), a.real, b.real
+    return (False, a.real), a.imag, b.imag
+
+
+def _segment(walked: _Walked, a: complex, b: complex):
+    """The walked segment that holds the edge (a, b), and the keys of a and b in it; or None.
+
+    A segment is (sign, keys, readings): keys[k] is sign times the place
+    of the walk's point p_k on its line, ascending in k, and readings[k] is
+    (Hc(p_k), change of arg from the walk's start to p_k).
+    """
+    line, u, v = _line(a, b)
+    for segment in walked.get(line, ()):
+        sign, keys, _ = segment
+        if keys[0] <= sign * u <= keys[-1] and keys[0] <= sign * v <= keys[-1]:
+            return segment, sign * u, sign * v
+    return None
+
+
+def _walk(N: int, j: int, a: complex, b: complex, walked: _Walked) -> None:
+    """Walk the edge (a, b) afresh and keep its pieces in ``walked`` (see _segment)."""
+    line, u, v = _line(a, b)
+    pieces: list[tuple[complex, complex, float]] = []
+    _edge_phase(N, j, a, b, pieces=pieces)
+    sign = 1.0 if u < v else -1.0
+    keys = [sign * (p.real if line[0] else p.imag) for p, _, _ in pieces]
+    walked.setdefault(line, []).append((sign, keys, [(value, phase) for _, value, phase in pieces]))
+    walked[a], walked[b] = pieces[0][1], pieces[-1][1]
+
+
+def _reading(N: int, j: int, walked: _Walked, segment, z: complex, key: float) -> float:
+    """Certified change of arg of H from a segment's start to its point z (key: z's key)."""
+    _, keys, readings = segment
+    k = bisect_right(keys, key) - 1  # z lies in the piece from p_k
+    start, phase = readings[k]
+    if keys[k] == key:
+        return phase
+    value = walked.get(z)
+    if value is None:
+        value = walked[z] = _evaluate(N, j, z)[0]
+    return phase + cmath.phase(value / start)  # step 4 of _edge_phase
+
+
+def _read_edge(N: int, j: int, a: complex, b: complex, walked: _Walked) -> float:
+    """Certified change of arg of H along the edge (a, b), read off a walked segment holding it."""
+    segment, key_a, key_b = _segment(walked, a, b)
+    return _reading(N, j, walked, segment, b, key_b) - _reading(N, j, walked, segment, a, key_a)
+
+
+def _box_count(N: int, j: int, box: tuple[float, float, float, float], walked: _Walked) -> int:
     """Zeros of H_{N,j} inside the box (x0, x1, y0, y1), with multiplicity.
 
-    ``walked`` maps each edge (a, b) already walked in this search of
-    H_{N,j} to its certified change of arg; an edge found there is not
-    walked again, and an edge found walked the other way, (b, a), adds the
-    negated change, which is the certified change of arg along (a, b).
-    Every edge walked here is added to it.  The corner values are computed
-    the same way in every walk, so the straight connectors of _edge_phase
-    still cancel between a reused edge and a fresh one.
+    ``walked`` is the memory of one search of H_{N,j}.  For each
+    axis-parallel line it keeps the segments walked on it, each with the
+    accepted pieces of its walk (see _segment); and for each walk's ends
+    and each corner read so far, the computed H there.  An edge that lies
+    inside a walked segment is read, not walked: its change of arg is the
+    difference of two readings (_read_edge; step 4 of _edge_phase).  The
+    other edges are walked first and kept, so that each line segment is
+    walked once.  In a search every corner of a box is then the end of a
+    walk, and the readings cost no evaluation of H.
     """
     x0, x1, y0, y1 = box
     corners = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
-    total = 0.0
-    for edge in zip(corners, corners[1:] + corners[:1]):
-        if edge not in walked:
-            a, b = edge
-            walked[edge] = -walked[b, a] if (b, a) in walked else _edge_phase(N, j, a, b)
-        total += walked[edge]
+    edges = list(zip(corners, corners[1:] + corners[:1]))
+    for a, b in edges:
+        if _segment(walked, a, b) is None:
+            _walk(N, j, a, b, walked)
+    total = sum(_read_edge(N, j, a, b, walked) for a, b in edges)
     return round(total / (2.0 * math.pi))
 
 
@@ -578,7 +662,7 @@ _SEARCH_REACH = (_EXP_LIMIT - abs(_ROOT_CENTRE)) / math.sqrt(2.0) - _ROOT_MARGIN
 
 
 def _split(
-    N: int, j: int, box: tuple[float, float, float, float], count: int, walked: _EdgeMap
+    N: int, j: int, box: tuple[float, float, float, float], count: int, walked: _Walked
 ) -> list[tuple[tuple[float, float, float, float], int]]:
     """Halve the box across its longer side; count one half, subtract for the other."""
     x0, x1, y0, y1 = box
@@ -603,12 +687,12 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
     A box around the disk is split until each piece is resolved, after
     Delves and Lyness (Math. Comp. 21, 1967) and Kravanja and Van Barel
     (LNM 1727, 2000).  Counts come from _edge_phase, so they are exact.
-    Each edge is walked at most once per search: the search keeps a map
-    from every walked edge to its certified change of arg, and a box that
-    shares an edge with one counted earlier in the same search reads the
-    change from it (negated when the edge runs the other way; see
-    _box_count).  The map lives for one call, so searches of different
-    (N, j) never share it.
+    Each line segment is walked at most once per search: the search keeps
+    the accepted pieces of every walk by the axis-parallel line it lies
+    on, and an edge inside a walked segment, such as a side of a split
+    box, is read from those pieces rather than walked (see _box_count).
+    So only the root box's edges and the cuts are walked.  This memory
+    lives for one call, so searches of different (N, j) never share it.
     A box with count 0, or one missing the disk, is dropped.  For j > 0
     the origin is a zero of multiplicity exactly j (H_{N,j}(z) = z^j/j! +
     ...), so a box around it with count j holds nothing else, and the
@@ -628,7 +712,7 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
         _ROOT_CENTRE.imag - half, _ROOT_CENTRE.imag + half,
     )
     zeros: list[complex] = []
-    walked: _EdgeMap = {}
+    walked: _Walked = {}
     pending = [(root, _box_count(N, j, root, walked))]
     while pending:
         box, count = pending.pop()
@@ -691,6 +775,8 @@ def ratio_radius(params: SeqParams, n_max: int) -> float:
     the end.  By the ratio test this tends to (distance from the origin to
     the closest nontrivial zero of the kernel) / pi.
     """
+    from .engine import compute_table
+
     if n_max < 10:
         raise ValueError("ratio_radius: n_max must be at least 10")
     table = compute_table(params, n_max + 1)

@@ -154,7 +154,8 @@ class _Record:
 
     It is equal only to an instance of its own class whose fields are
     equal, and its repr is ``Name(field=value, ...)``.  Defining ``__eq__``
-    leaves it unhashable.
+    leaves it unhashable.  Pickle, with any protocol, and copy rebuild it
+    by calling ``__init__`` with its fields.
     """
 
     __slots__ = ()
@@ -171,6 +172,9 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{self.__class__.__name__}({fields})"
 
+    def __reduce__(self):  # __slots__ alone pickle with protocol 2 and up only
+        return self.__class__, self._state()
+
 
 class _Value(_Record):
     """An immutable, hashable _Record; ``__init__`` sets its fields with ``object.__setattr__``."""
@@ -184,9 +188,6 @@ class _Value(_Record):
 
     def __hash__(self) -> int:
         return hash(self._state())
-
-    def __reduce__(self):  # pickle and copy rebuild through __init__, not __setattr__
-        return self.__class__, self._state()
 
 
 class EgfSeries(_Value):

@@ -1,8 +1,10 @@
 """Tests for the exact identity checks and the floating zero machinery."""
 
 import cmath
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from congruential_euler import analytic, engine
 from congruential_euler.analytic import (
     BERNOULLI_DISPLAYS,
     ZERO_FAMILIES,
+    BernoulliDisplay,
     BernoulliFormulaId,
     PiPolynomial,
     ZetaFormulaId,
@@ -117,6 +120,40 @@ class TestZetaDisplays:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             formula_value(ZetaFormulaId.zeta_4n_via_40, 0)
+
+
+class TestValueClasses:
+    """PiPolynomial and BernoulliDisplay are immutable, hashable values."""
+
+    def test_pi_polynomial(self):
+        value = PiPolynomial(4, Fraction(1, 90))
+        assert value == PiPolynomial(degree=4, coefficient=Fraction(1, 90))
+        assert value != PiPolynomial(6, Fraction(1, 90)) and value != (4, Fraction(1, 90))
+        assert hash(value) == hash(zeta_even(4))
+        assert repr(value) == "PiPolynomial(degree=4, coefficient=Fraction(1, 90))"
+        with pytest.raises(AttributeError):
+            value.degree = 6
+        with pytest.raises(AttributeError):
+            del value.coefficient
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(value, protocol)) == value
+        assert copy.copy(value) == value and copy.deepcopy(value) == value
+
+    def test_bernoulli_display(self):
+        display = BERNOULLI_DISPLAYS[BernoulliFormulaId.b4n_via_42]
+        same = BernoulliDisplay(params=(4, 2), offset=0, prefactor=display.prefactor)
+        assert display == same and hash(display) == hash(same)
+        assert display != BernoulliDisplay((4, 2), 2, display.prefactor)
+        assert repr(display).startswith("BernoulliDisplay(params=(4, 2), offset=0, prefactor=<function ")
+        with pytest.raises(AttributeError):
+            display.offset = 1
+        with pytest.raises(AttributeError):
+            display.other = 1
+        assert copy.copy(display) == display and copy.deepcopy(display) == display
+        # the printed prefactors are lambdas, which pickle cannot name; a named one pickles
+        named = BernoulliDisplay((4, 2), 0, Fraction)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(named, protocol)) == named
 
 
 class TestBernoulliDisplays:
@@ -389,15 +426,83 @@ class TestZeroSearch:
         fresh = [_box_count(N, j, half, {}) for half in halves]
         walks = []
         monkeypatch.setattr(
-            analytic, "_edge_phase", lambda *args: walks.append(args) or _edge_phase(*args)
+            analytic, "_edge_phase",
+            lambda *args, **kwargs: walks.append(args) or _edge_phase(*args, **kwargs),
         )
         walked = {}
         assert _box_count(N, j, box, walked) == count
         assert [_box_count(N, j, half, walked) for half in halves] == fresh
         assert sum(fresh) == count
-        # each half shares one outer edge with the box; the second half also
-        # walks the cut of the first backwards: 4 + 3 + 2 walks, not 12
-        assert len(walks) == 9
+        # the halves' outer sides lie on the box's edges and are read from
+        # their walks; the first half walks the cut, which the second reads
+        # backwards: 4 + 1 + 0 walks, not 12
+        assert len(walks) == 5
+
+    @pytest.mark.parametrize("family, radius", [
+        ((4, 0), 5 * math.pi), ((4, 2), 5 * math.pi), ((6, 3), 5 * math.pi), ((5, 0), 20.0),
+    ])
+    def test_no_two_walks_overlap_on_a_line(self, monkeypatch, family, radius):
+        N, j = family
+
+        def every_edge_afresh(N, j, box, walked):
+            x0, x1, y0, y1 = box
+            corners = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
+            edges = zip(corners, corners[1:] + corners[:1])
+            return round(sum(_edge_phase(N, j, a, b) for a, b in edges) / (2.0 * math.pi))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(analytic, "_box_count", every_edge_afresh)
+            expected = find_zeros_in_disk(N, j, radius)
+        walks = []
+        monkeypatch.setattr(
+            analytic, "_edge_phase",
+            lambda N, j, a, b, **kwargs: walks.append((a, b)) or _edge_phase(N, j, a, b, **kwargs),
+        )
+        assert find_zeros_in_disk(N, j, radius) == expected  # the same zeros, bit for bit
+        spans = {}
+        for a, b in walks:
+            line, u, v = analytic._line(a, b)
+            spans.setdefault(line, []).append(sorted((u, v)))
+        for on_line in spans.values():
+            on_line.sort()
+            assert all(low[1] <= high[0] for low, high in zip(on_line, on_line[1:]))
+
+    @pytest.mark.parametrize("family", [(4, 0), (4, 2), (6, 3), (5, 2)])
+    def test_readings_agree_with_fresh_walks(self, monkeypatch, family):
+        # walk the lines of a grid once, then read boxes of the grid and
+        # random stretches of the lines: no walk, the counts and phases of
+        # fresh walks
+        N, j = family
+        rng = random.Random(N * 10 + j)
+        x0, x1, y0, y1 = -1.3, 9.7, -0.9, 10.1  # the origin and several lattice zeros
+        xs = sorted([x0, x1, *(rng.uniform(x0, x1) for _ in range(3))])
+        ys = sorted([y0, y1, *(rng.uniform(y0, y1) for _ in range(3))])
+        walked = {}
+        lines = [(complex(x, y0), complex(x, y1)) for x in xs]
+        lines += [(complex(x1, y), complex(x0, y)) for y in ys]  # leftwards
+        for a, b in lines:
+            analytic._walk(N, j, a, b, walked)
+        boxes = []
+        for _ in range(12):
+            (a, b), (c, d) = sorted(rng.sample(xs, 2)), sorted(rng.sample(ys, 2))
+            boxes.append((a, b, c, d))
+        fresh = [_box_count(N, j, box, {}) for box in boxes]
+        assert sum(fresh) > 0
+        stretches = []
+        for a, b in lines:
+            s, t = rng.random(), rng.random()
+            stretches.append((a + s * (b - a), a + t * (b - a)))
+        walks = []
+        monkeypatch.setattr(analytic, "_edge_phase", lambda *args, **kwargs: walks.append(args))
+        assert [_box_count(N, j, box, walked) for box in boxes] == fresh
+        for box in boxes:
+            x0, x1, y0, y1 = box
+            corners = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
+            stretches += zip(corners, corners[1:] + corners[:1])
+        read = [analytic._read_edge(N, j, a, b, walked) for a, b in stretches]
+        assert walks == []
+        monkeypatch.undo()
+        assert all(abs(phase - _edge_phase(N, j, a, b)) < 1e-9 for phase, (a, b) in zip(read, stretches))
 
     # H_{2,1} = sinh: the first cut of this box, at y0 + 0.5137 * 2, runs through pi i
     SINH_BOX = (-0.6, 0.6, math.pi - 1.0274, math.pi + 0.9726)
@@ -429,7 +534,8 @@ class TestZeroSearch:
     def test_searches_share_no_walked_edges(self, monkeypatch):
         walks = []  # one list of _edge_phase calls per search
         monkeypatch.setattr(
-            analytic, "_edge_phase", lambda *args: walks[-1].append(args) or _edge_phase(*args)
+            analytic, "_edge_phase",
+            lambda *args, **kwargs: walks[-1].append(args) or _edge_phase(*args, **kwargs),
         )
         radius = 2.5 * math.pi
         half = radius + analytic._ROOT_MARGIN

@@ -116,8 +116,9 @@ class TestValueClasses:
 
     def test_copies_are_equal(self):
         for value in (SeqParams(4, 2), compute_table(SeqParams(4, 2), 3)):
-            assert pickle.loads(pickle.dumps(value)) == value
-            assert copy.deepcopy(value) == value
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(value, protocol)) == value
+            assert copy.copy(value) == value and copy.deepcopy(value) == value
 
 
 def plain_recurrence(N: int, j: int, n_max: int) -> list[Fraction]:

@@ -418,8 +418,9 @@ class TestSeriesValue:
 
     def test_copies_are_equal(self):
         a = EgfSeries((1, Fraction(1, 2)))
-        assert pickle.loads(pickle.dumps(a)) == a
-        assert copy.deepcopy(a) == a
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(a, protocol)) == a
+        assert copy.copy(a) == a and copy.deepcopy(a) == a
 
 
 class TestSeriesArithmetic:

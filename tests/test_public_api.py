@@ -40,7 +40,7 @@ def test_the_namespace_lists_binds_and_refuses_names():
 
 def _loaded(code: str, cache_dir: Path) -> list[str]:
     """Run code in a fresh interpreter; return the package modules it loaded."""
-    probe = (f"CACHE = {str(cache_dir)!r}\n{code}\nimport sys\n"
+    probe = (f"import sys\nCACHE = {str(cache_dir)!r}\n{code}\n"
              "print(*sorted(name for name in sys.modules if name.startswith('congruential_euler')))")
     run = subprocess.run([sys.executable, "-c", probe], cwd=SRC, capture_output=True, text=True,
                          check=True, timeout=60)
@@ -68,8 +68,13 @@ def _loaded(code: str, cache_dir: Path) -> list[str]:
     ("from congruential_euler import cli\n"
      "assert cli.main(['--cache-dir', CACHE, 'identities', 'zeta']) == 0",
      ["analytic", "cli", "engine", "exact"]),
+    # the float zero search needs neither the engine nor dataclasses
+    ("from congruential_euler import analytic\n"
+     "assert len(analytic.find_zeros_in_disk(4, 2, 10.0)) == 9\n"
+     "assert not {'dataclasses', 'inspect'} & set(sys.modules)",
+     ["analytic", "exact"]),
 ], ids=["import", "dunder-probe", "one-name", "warm-compute", "scan-appendix-b", "verify",
-        "identities-zeta"])
+        "identities-zeta", "zero-search"])
 def test_cli_stays_out_of_the_package_import(tmp_path, code, modules):
     # and each use loads only the library modules it runs
     expected = ["congruential_euler", *(f"congruential_euler.{module}" for module in modules)]
