@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial, perm
 from operator import mul
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .exact import _Value, binomial_row
 
@@ -63,8 +63,7 @@ class PiPolynomial(_Value):
     def __init__(self, degree: int, coefficient: Fraction) -> None:
         if degree < 2 or degree % 2 != 0:
             raise ValueError("PiPolynomial: degree must be even and at least 2")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "coefficient", coefficient)
+        super().__init__(degree, coefficient)
 
 
 class ZetaFormulaId(Enum):
@@ -129,13 +128,6 @@ class _ZetaDisplay(_Value):
     """
 
     __slots__ = ("bernoulli", "prefactor", "is_lambda")
-
-    def __init__(
-        self, bernoulli: BernoulliFormulaId, prefactor: Callable[[int], Fraction], is_lambda: bool
-    ) -> None:
-        object.__setattr__(self, "bernoulli", bernoulli)
-        object.__setattr__(self, "prefactor", prefactor)
-        object.__setattr__(self, "is_lambda", is_lambda)
 
 
 _ZETA_DISPLAYS = {
@@ -210,21 +202,14 @@ class BernoulliDisplay(_Value):
     """One Bernoulli display B_{index(n)} = prefactor(n) * _display_sum(display, n).
 
     Every display of the paper has the subscript index(n) = N n - offset
-    and sums over t = index(n) + j - 1 (see _display_sum), so (N, j) and
-    the offset fix the whole display but its prefactor.  The prefactor is
-    transcribed from the print, so the check still tests the printed
-    display.  The display holds for n >= min_n, the least n >= 0 with
-    index(n) >= 0 and t >= 0.
+    and sums over t = index(n) + j - 1 (see _display_sum), so ``params``
+    = (N, j) and the offset fix the whole display but its prefactor.  The
+    prefactor is transcribed from the print, so the check still tests the
+    printed display.  The display holds for n >= min_n, the least n >= 0
+    with index(n) >= 0 and t >= 0.
     """
 
     __slots__ = ("params", "offset", "prefactor")
-
-    def __init__(
-        self, params: tuple[int, int], offset: int, prefactor: Callable[[int], Fraction]
-    ) -> None:
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "prefactor", prefactor)
 
     def index(self, n: int) -> int:
         """Subscript of the Bernoulli number the display gives at n."""
@@ -501,7 +486,7 @@ def _taylor_bound(m: int, r: float) -> float:
     return bound
 
 
-def _edge_phase(N: int, j: int, a: complex, b: complex, pieces: list | None = None) -> float:
+def _edge_phase(N: int, j: int, a: complex, b: complex, pieces: list) -> float:
     """Change of arg H_{N,j} along the segment from a to b, certified.
 
     The segment is walked in pieces [p, p + h] with h <= 1/2.  The
@@ -543,9 +528,9 @@ def _edge_phase(N: int, j: int, a: complex, b: complex, pieces: list | None = No
 
     A piece that cannot be accepted before h < 1e-9 max(1, |p|) means a
     zero on or within about that distance of the segment: ArithmeticError
-    is raised rather than a count guessed.  If ``pieces`` is given, the
-    walk appends to it (p, Hc(p), change of arg from a to p) for the start
-    p of every accepted piece, and last (b, Hc(b), the total).
+    is raised rather than a count guessed.  The walk appends to ``pieces``
+    (p, Hc(p), change of arg from a to p) for the start p of every
+    accepted piece, and last (b, Hc(b), the total).
     """
     m = (j - 1) % N
     length = abs(b - a)
@@ -553,8 +538,6 @@ def _edge_phase(N: int, j: int, a: complex, b: complex, pieces: list | None = No
     done = 0.0
     value, majorant = _evaluate(N, j, a)  # H and M at the start of each piece
     total = 0.0
-    if pieces is None:
-        pieces = []
     pieces.append((a, value, 0.0))
     while done < length:
         point = a + done * direction

@@ -153,8 +153,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    import json
-
     from .scanner import emit_table, run_reference_scan, scan_conjecture
 
     # one mode: --appendix-b, --grid FILE, or --p --m --j --r with an optional --n-max
@@ -169,6 +167,8 @@ def _cmd_scan(args: argparse.Namespace) -> int:
         results, ok = [o.result for o in outcomes], all(o.matches for o in outcomes)
     else:
         if args.grid is not None:
+            import json
+
             try:
                 spec = json.loads(Path(args.grid).read_text())
             except json.JSONDecodeError as exc:

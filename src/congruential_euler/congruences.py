@@ -12,11 +12,11 @@ conversion is what rules out off-by-step bugs.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .engine import SeqParams, residue_table
 from .exact import (
+    _Record,
     Rational,
     exp_section,
     is_prime,
@@ -42,34 +42,32 @@ __all__ = [
 MAX_WITNESSES = 5
 
 
-@dataclass
-class CongruenceReport:
+class CongruenceReport(_Record):
     """Pass/fail record for one theorem instance sweep.
 
     The status is ``"inconclusive"`` when the caller says so, else ``"fail"``
-    when there are failures and ``"pass"`` when there are none; the failures
-    are cut to the first :data:`MAX_WITNESSES`.
+    when there are failures and ``"pass"`` when there are none; the failures,
+    each a dict, are cut to the first :data:`MAX_WITNESSES`.
     """
 
-    theorem_id: str
-    params: str
-    instances_checked: int
-    failures: list[dict] = field(default_factory=list)
-    status: str = "pass"
+    __slots__ = ("theorem_id", "params", "instances_checked", "failures", "status")
 
-    def __post_init__(self) -> None:
-        if self.instances_checked < 1:
+    def __init__(self, theorem_id: str, params: str, instances_checked: int,
+                 failures: Sequence[dict] = (), status: str = "pass") -> None:
+        if instances_checked < 1:
             raise ValueError("a report must cover at least one instance")
-        if self.status != "inconclusive":
-            self.status = "fail" if self.failures else "pass"
-        self.failures = self.failures[:MAX_WITNESSES]
+        failures = list(failures[:MAX_WITNESSES])
+        if status != "inconclusive":
+            status = "fail" if failures else "pass"
+        super().__init__(theorem_id, params, instances_checked, failures, status)
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, with copies of the failures list and of each witness dict."""
+        return {**self._asdict(), "failures": [dict(witness) for witness in self.failures]}
 
 
 def _residues(params: SeqParams, p: int, e: int, indices: list[int]) -> list[int]:

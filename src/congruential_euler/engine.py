@@ -71,18 +71,13 @@ class SeqParams(_Value):
             raise ValueError("SeqParams: N must be a positive integer")
         if j < 0:
             raise ValueError("SeqParams: j must be nonnegative")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "j", j)
+        super().__init__(N, j)
 
 
 class SeqTable(_Record):
     """Values E_{Nn}^{(N,j)} for n = 0..len(values) - 1 (table-index convention)."""
 
     __slots__ = ("params", "values")
-
-    def __init__(self, params: SeqParams, values: list[Fraction]) -> None:
-        self.params = params
-        self.values = values
 
 
 # Append-only memo, one list per (N, j), unlocked: the package starts no

@@ -152,16 +152,30 @@ def _exact_coefficient(c: Rational) -> Fraction:
 class _Record:
     """A record of the fields named by its class's ``__slots__``.
 
-    It is equal only to an instance of its own class whose fields are
-    equal, and its repr is ``Name(field=value, ...)``.  Defining ``__eq__``
-    leaves it unhashable.  Pickle, with any protocol, and copy rebuild it
-    by calling ``__init__`` with its fields.
+    ``__init__`` binds each value, positional or keyword, to its field in
+    ``__slots__`` order; a class with defaults or checks calls it from its
+    own.  A record is equal only to an instance of its own class whose
+    fields are equal, and its repr is ``Name(field=value, ...)``.  Defining
+    ``__eq__`` leaves it unhashable.  Pickle, with any protocol, and copy
+    rebuild it by calling ``__init__`` with its fields.
     """
 
     __slots__ = ()
 
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        names = self.__slots__
+        if len(args) > len(names) or kwargs.keys() != set(names[len(args):]):
+            raise TypeError(f"{self.__class__.__name__}() takes the fields ({', '.join(names)}); "
+                            f"got {len(args)} positional and the keywords {sorted(kwargs)}")
+        for name, value in [*zip(names, args), *kwargs.items()]:
+            object.__setattr__(self, name, value)  # a _Value refuses setattr
+
     def _state(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__slots__])
+
+    def _asdict(self) -> dict:
+        """The fields by name, in ``__slots__`` order; the values are not copied."""
+        return dict(zip(self.__slots__, self._state()))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -177,7 +191,7 @@ class _Record:
 
 
 class _Value(_Record):
-    """An immutable, hashable _Record; ``__init__`` sets its fields with ``object.__setattr__``."""
+    """An immutable, hashable _Record, whose fields only ``_Record.__init__`` sets."""
 
     __slots__ = ()
 
@@ -208,7 +222,7 @@ class EgfSeries(_Value):
         coeffs = tuple(map(_exact_coefficient, coeffs))
         if not coeffs:
             raise ValueError("EgfSeries needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(coeffs)
 
     @property
     def order(self) -> int:

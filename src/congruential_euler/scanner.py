@@ -12,15 +12,13 @@ and reproduces the published numerical tables.
 
 from __future__ import annotations
 
-import json
 import sys
-from dataclasses import asdict, dataclass, field
 from functools import partial
 from math import lcm
 from typing import Iterable, Optional
 
 from .engine import SeqParams, residue_table
-from .exact import is_prime
+from .exact import _Record, _Value, is_prime
 
 __all__ = [
     "PeriodDetection",
@@ -35,13 +33,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PeriodDetection:
-    """Outcome of a period search: found / no_period / inconclusive."""
+class PeriodDetection(_Value):
+    """Outcome of a period search: found / no_period / inconclusive.
 
-    status: str
-    n0: Optional[int] = None
-    period: Optional[int] = None
+    ``n0`` and ``period`` are None unless the status is found.
+    """
+
+    __slots__ = ("status", "n0", "period")
+
+    def __init__(self, status: str, n0: Optional[int] = None,
+                 period: Optional[int] = None) -> None:
+        super().__init__(status, n0, period)
 
 
 def detect_eventual_period(seq: list[int], max_period: int) -> PeriodDetection:
@@ -68,27 +70,19 @@ def detect_eventual_period(seq: list[int], max_period: int) -> PeriodDetection:
     return PeriodDetection("no_period")
 
 
-@dataclass
-class PeriodScanResult:
+class PeriodScanResult(_Record):
     """One scanned parameter tuple (p, m, j, r) and its detected cycle.
 
-    n0 is the preperiod in table-index units; period_index is the minimal
+    status is ok, integrality_failed, no_period or inconclusive.  n0 is
+    the preperiod in table-index units; period_index is the minimal
     observed period in absolute subscript units (a multiple of mp when a
     period is found); cycle lists the repeating residues starting at n0.
+    n0, period_index and divides_conjecture (whether period_index divides
+    conjecture_period) are None and cycle is empty unless the status is ok.
     """
 
-    p: int
-    m: int
-    j: int
-    r: int
-    n_max: int
-    status: str  # ok | integrality_failed | no_period | inconclusive
-    n0: Optional[int] = None
-    period_index: Optional[int] = None
-    cycle: list[int] = field(default_factory=list)
-    conjecture_period: int = 0
-    divides_conjecture: Optional[bool] = None
-    note: str = ""
+    __slots__ = ("p", "m", "j", "r", "n_max", "status", "n0", "period_index", "cycle",
+                 "conjecture_period", "divides_conjecture", "note")
 
     @property
     def mp(self) -> int:
@@ -121,31 +115,29 @@ def scan_conjecture(
     max_period_table = conjecture_period // mp  # exact: m | lcm(2, p-1) and p | p^r
     if n_max is None:
         n_max = max(3 * max_period_table, 30)  # long enough for the two-full-periods rule
-    result = partial(PeriodScanResult, p, m, j, r, n_max, conjecture_period=conjecture_period)
+    result = partial(PeriodScanResult, p, m, j, r, n_max)
 
     residues = residue_table(SeqParams(mp, j), p, r, n_max)
     if len(residues) <= n_max:
         note = f"denominator of entry n={len(residues)} is divisible by {p}"
-        return result("integrality_failed", note=note)
+        return result("integrality_failed", None, None, [], conjecture_period, None, note)
 
     found = detect_eventual_period(residues, max_period_table)
     if found.status != "found":
-        return result(found.status)
+        return result(found.status, None, None, [], conjecture_period, None, "")
     period_index = found.period * mp
-    return result(
-        "ok",
-        n0=found.n0,
-        period_index=period_index,
-        cycle=residues[found.n0 : found.n0 + found.period],
-        divides_conjecture=conjecture_period % period_index == 0,
-    )
+    cycle = residues[found.n0 : found.n0 + found.period]
+    return result("ok", found.n0, period_index, cycle, conjecture_period,
+                  conjecture_period % period_index == 0, "")
 
 
 def emit_table(results: Iterable[PeriodScanResult], format: str) -> str:
     """Render scan results sorted by (p, mp, j, r): text (published-table columns), TSV, JSON lines."""
     rows = sorted(results, key=lambda s: (s.p, s.mp, s.j, s.r))
     if format == "json":
-        return "\n".join(json.dumps(asdict(r), sort_keys=True) for r in rows)
+        import json
+
+        return "\n".join(json.dumps(r._asdict(), sort_keys=True) for r in rows)
     if format == "tsv":
         header = "p\tm\tj\tr\tn0\tperiod\tconjecture_period\tdivides_conjecture\tstatus\tcycle"
         lines = [header]
@@ -177,22 +169,18 @@ def _dash(value) -> str:
     return "-" if value is None else str(value)
 
 
-@dataclass(frozen=True)
-class ReferenceRow:
+class ReferenceRow(_Value):
     """One row of the published residue-period table, for reproduction runs.
 
-    ``companion`` is an (m, j, r) scan at the same p, run next to the row's
-    own scan and reported with it.
+    ``companion`` is None or an (m, j, r) scan at the same p, run next to
+    the row's own scan and reported with it.
     """
 
-    mp: int
-    j: int
-    p: int
-    r: int
-    published_n0: int
-    published_period: int
-    note: str = ""
-    companion: Optional[tuple[int, int, int]] = None
+    __slots__ = ("mp", "j", "p", "r", "published_n0", "published_period", "note", "companion")
+
+    def __init__(self, mp: int, j: int, p: int, r: int, published_n0: int, published_period: int,
+                 note: str = "", companion: Optional[tuple[int, int, int]] = None) -> None:
+        super().__init__(mp, j, p, r, published_n0, published_period, note, companion)
 
 
 # The published evidence table, in its printed order.  The final row was
@@ -229,14 +217,14 @@ REFERENCE_ROWS: tuple[ReferenceRow, ...] = (
 )
 
 
-@dataclass
-class ReferenceOutcome:
-    """A published row next to what the scanner actually observes."""
+class ReferenceOutcome(_Record):
+    """A published row next to what the scanner actually observes.
 
-    row: ReferenceRow
-    result: PeriodScanResult
-    matches: bool
-    companions: list[PeriodScanResult]
+    ``result`` is the reported scan, ``matches`` whether it reproduces the
+    printed (n0, period), and ``companions`` the other scans, if any.
+    """
+
+    __slots__ = ("row", "result", "matches", "companions")
 
 
 def _reference_outcome(row: ReferenceRow) -> ReferenceOutcome:

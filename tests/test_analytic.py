@@ -448,7 +448,7 @@ class TestZeroSearch:
             x0, x1, y0, y1 = box
             corners = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
             edges = zip(corners, corners[1:] + corners[:1])
-            return round(sum(_edge_phase(N, j, a, b) for a, b in edges) / (2.0 * math.pi))
+            return round(sum(_edge_phase(N, j, a, b, []) for a, b in edges) / (2.0 * math.pi))
 
         with monkeypatch.context() as patch:
             patch.setattr(analytic, "_box_count", every_edge_afresh)
@@ -502,7 +502,8 @@ class TestZeroSearch:
         read = [analytic._read_edge(N, j, a, b, walked) for a, b in stretches]
         assert walks == []
         monkeypatch.undo()
-        assert all(abs(phase - _edge_phase(N, j, a, b)) < 1e-9 for phase, (a, b) in zip(read, stretches))
+        assert all(abs(phase - _edge_phase(N, j, a, b, [])) < 1e-9
+                   for phase, (a, b) in zip(read, stretches))
 
     # H_{2,1} = sinh: the first cut of this box, at y0 + 0.5137 * 2, runs through pi i
     SINH_BOX = (-0.6, 0.6, math.pi - 1.0274, math.pi + 0.9726)
@@ -527,9 +528,9 @@ class TestZeroSearch:
         (9, 8, complex(17.0, 0.3), complex(-2.0, -16.0)),
     ])
     def test_an_edge_walked_back_undoes_its_change_of_arg(self, N, j, a, b):
-        forward = _edge_phase(N, j, a, b)
+        forward = _edge_phase(N, j, a, b, [])
         assert abs(forward) > 0.1
-        assert abs(forward + _edge_phase(N, j, b, a)) < 1e-9
+        assert abs(forward + _edge_phase(N, j, b, a, [])) < 1e-9
 
     def test_searches_share_no_walked_edges(self, monkeypatch):
         walks = []  # one list of _edge_phase calls per search
@@ -597,7 +598,7 @@ class TestZeroSearch:
             segments.append((*family, zero - step, zero + step, True))
         for N, j, a, b, through_a_zero in segments:
             expected = outcome(smaller_bound_first, N, j, a, b)
-            assert outcome(_edge_phase, N, j, a, b) == expected
+            assert outcome(_edge_phase, N, j, a, b, []) == expected
             assert expected == "raises" or not through_a_zero
 
     def test_radius_beyond_exp_range(self):

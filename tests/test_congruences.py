@@ -1,5 +1,7 @@
 """Tests for the congruence verifier."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -251,6 +253,51 @@ def test_report_keeps_the_first_witnesses():
         "theorem_id": "gessel", "params": "x", "instances_checked": 9,
         "failures": witnesses[:kept], "status": "fail",
     }
+
+
+class TestValueClasses:
+    """CongruenceReport is a mutable record whose to_dict shares nothing with it."""
+
+    WITNESSES = [{"params": "n=0", "lhs": Fraction(1, 3), "rhs": 1},
+                 {"params": "n=1", "lhs": 0, "rhs": 1}]
+
+    def test_equality_and_repr(self):
+        report = CongruenceReport("gessel", "x", 9, self.WITNESSES[:1])
+        assert report == CongruenceReport(theorem_id="gessel", params="x", instances_checked=9,
+                                          failures=self.WITNESSES[:1], status="fail")
+        assert report != CongruenceReport("gessel", "x", 9) and report != CongruenceReport(
+            "gessel", "x", 9, self.WITNESSES[1:])
+        assert report != ("gessel", "x", 9, self.WITNESSES[:1], "fail")
+        assert repr(report) == (
+            "CongruenceReport(theorem_id='gessel', params='x', instances_checked=9, "
+            "failures=[{'params': 'n=0', 'lhs': Fraction(1, 3), 'rhs': 1}], status='fail')"
+        )
+        with pytest.raises(TypeError):
+            hash(report)
+
+    def test_to_dict_shares_no_list_or_dict(self):
+        report = CongruenceReport("lemma_Xm", "p=2", 4, self.WITNESSES)
+        payload = report.to_dict()
+        assert payload == {  # what dataclasses.asdict gave
+            "theorem_id": "lemma_Xm", "params": "p=2", "instances_checked": 4,
+            "failures": self.WITNESSES, "status": "fail",
+        }
+        assert list(payload) == ["theorem_id", "params", "instances_checked", "failures", "status"]
+        assert payload["failures"] is not report.failures
+        assert all(a is not b for a, b in zip(payload["failures"], report.failures))
+        payload["failures"][0]["lhs"] = 7
+        payload["failures"].append({})
+        assert report.failures == self.WITNESSES and report.failures is not self.WITNESSES
+
+    @pytest.mark.parametrize("report", [
+        CongruenceReport("gessel", "x", 9, WITNESSES),
+        CongruenceReport("special_60", "r=1", 3, status="inconclusive"),
+        CongruenceReport("gessel", "x", 9, 3 * WITNESSES),
+    ], ids=["fail", "inconclusive", "cut"])
+    def test_copies_are_equal(self, report):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(report, protocol)) == report
+        assert copy.copy(report) == report and copy.deepcopy(report) == report
 
 
 def test_reports_are_deterministic():

@@ -107,6 +107,15 @@ class TestValueClasses:
             "SeqTable(params=SeqParams(N=2, j=0), values=[Fraction(1, 1), Fraction(-1, 1)])"
         )
 
+    def test_table_fields_bind_by_position_or_keyword(self):
+        params = SeqParams(2, 0)
+        assert SeqTable(params, values=[1]) == SeqTable(values=[1], params=params)
+        # a missing field, one value too many, an unknown field, a field given twice
+        for args, kwargs in [((params,), {}), ((params, [1], None), {}),
+                             ((params, [1]), {"other": 1}), ((params, [1]), {"params": params})]:
+            with pytest.raises(TypeError, match=r"SeqTable\(\) takes the fields \(params, values\)"):
+                SeqTable(*args, **kwargs)
+
     def test_table_is_mutable_and_unhashable(self):
         table = SeqTable(SeqParams(2, 0), [Fraction(1)])
         table.values = [Fraction(1), Fraction(-1)]

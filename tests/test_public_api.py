@@ -59,11 +59,15 @@ def _loaded(code: str, cache_dir: Path) -> list[str]:
      "for _ in range(2):\n"
      "    assert cli.main(['--cache-dir', CACHE, 'compute', '--N', '4', '--j', '2']) == 0",
      ["cli", "engine", "exact"]),
+    # the records of scan and verify need no dataclasses
     ("from congruential_euler import cli\n"
-     "cli.main(['--cache-dir', CACHE, 'scan', '--appendix-b'])",  # 1: the published errata
+     "cli.main(['--cache-dir', CACHE, 'scan', '--appendix-b'])\n"  # 1: the published errata
+     "assert not {'dataclasses', 'inspect'} & set(sys.modules)",
      ["cli", "engine", "exact", "scanner"]),
     ("from congruential_euler import cli\n"
-     "assert cli.main(['--cache-dir', CACHE, 'verify', 'main', '--p', '3', '--j', '0', '--r', '1']) == 0",
+     "assert cli.main(['--cache-dir', CACHE, 'verify', 'main', '--p', '3', '--j', '0',\n"
+     "                 '--r', '1']) == 0\n"
+     "assert not {'dataclasses', 'inspect'} & set(sys.modules)",
      ["cli", "congruences", "engine", "exact"]),
     ("from congruential_euler import cli\n"
      "assert cli.main(['--cache-dir', CACHE, 'identities', 'zeta']) == 0",
@@ -98,3 +102,19 @@ def test_a_text_compute_loads_neither_dataclasses_nor_json(tmp_path):
     assert [json.loads(line) for line in lines[9:]] == [
         {"n": n, "value": text.split()[1]} for n, text in enumerate(lines[:4])
     ]
+
+
+def test_a_text_scan_loads_neither_dataclasses_nor_json(tmp_path):
+    # a text scan writes no JSON, and the scanner's records need no dataclasses
+    probe = ("import sys\nfrom congruential_euler import cli\n"
+             "args = ['--cache-dir', sys.argv[1], 'scan', '--p', '3', '--m', '2', '--j', '3',\n"
+             "        '--r', '2']\n"
+             "assert cli.main(args) == 0\n"
+             "print('loaded:', *sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+             "assert cli.main(['--format', 'json', *args]) == 0\n")
+    run = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], cwd=SRC,
+                         capture_output=True, text=True, check=True, timeout=60)
+    lines = run.stdout.splitlines()
+    assert lines[:3] == ["Parameters\tp\tr\tn0\tperiod\tcycle",
+                         "(mp,j)=(6,3)\t3\t2\t1\t18\tcycle=[7,1,4]", "loaded:"]
+    assert json.loads(lines[3])["cycle"] == [7, 1, 4]

@@ -1,10 +1,16 @@
 """Tests for period detection and conjecture scanning."""
 
+import copy
 import json
+import pickle
 
 import pytest
 
 from congruential_euler.scanner import (
+    REFERENCE_ROWS,
+    PeriodDetection,
+    PeriodScanResult,
+    ReferenceOutcome,
     ReferenceRow,
     _reference_outcome,
     detect_eventual_period,
@@ -172,6 +178,101 @@ class TestReferenceOutcome:
         outcome = _reference_outcome(ReferenceRow(6, 3, 3, 1, 1, 6))
         assert outcome.matches and outcome.companions == []
         assert outcome.result.note == "reproduced"
+
+
+class TestValueClasses:
+    """PeriodDetection and ReferenceRow are immutable, hashable values; the others are mutable."""
+
+    def test_detection(self):
+        found = PeriodDetection("found", 1, 3)
+        assert found == PeriodDetection(status="found", n0=1, period=3)
+        assert found == detect_eventual_period([5, 0, 1, 2, 0, 1, 2, 0, 1, 2], 3)
+        assert found != PeriodDetection("found", 0, 3) and found != ("found", 1, 3)
+        assert hash(found) == hash(PeriodDetection("found", 1, 3))
+        assert repr(found) == "PeriodDetection(status='found', n0=1, period=3)"
+        assert repr(PeriodDetection("no_period")) == (
+            "PeriodDetection(status='no_period', n0=None, period=None)"
+        )
+
+    def test_reference_row(self):
+        row = REFERENCE_ROWS[9]
+        same = ReferenceRow(mp=10, j=7, p=5, r=3, published_n0=2, published_period=500,
+                            note="printed among rows otherwise labeled (10,4)", companion=(2, 4, 3))
+        assert row == same and hash(row) == hash(same) and len(set(REFERENCE_ROWS)) == 20
+        assert ReferenceRow(6, 1, 3, 1, 1, 6) == REFERENCE_ROWS[0] != ReferenceRow(6, 1, 3, 1, 1, 7)
+        assert row != (10, 7, 5, 3, 2, 500, row.note, (2, 4, 3))
+        assert repr(row) == (
+            "ReferenceRow(mp=10, j=7, p=5, r=3, published_n0=2, published_period=500, "
+            "note='printed among rows otherwise labeled (10,4)', companion=(2, 4, 3))"
+        )
+
+    @pytest.mark.parametrize("value", [PeriodDetection("found", 1, 3), REFERENCE_ROWS[9]],
+                             ids=["detection", "row"])
+    def test_values_are_immutable(self, value):
+        with pytest.raises(AttributeError, match="is immutable"):
+            value.status = "other"
+        with pytest.raises(AttributeError, match="is immutable"):
+            del value.p
+        with pytest.raises(AttributeError):
+            value.other = 1
+
+    def test_scan_result(self):
+        result = scan_conjecture(3, 2, 3, 2)
+        fields = {"p": 3, "m": 2, "j": 3, "r": 2, "n_max": 30, "status": "ok", "n0": 1,
+                  "period_index": 18, "cycle": [7, 1, 4], "conjecture_period": 18,
+                  "divides_conjecture": True, "note": ""}
+        assert result == PeriodScanResult(**fields) == scan_conjecture(3, 2, 3, 2)
+        assert result != PeriodScanResult(**{**fields, "cycle": [7, 1]})
+        assert result != tuple(fields.values())
+        assert result._asdict() == fields and list(result._asdict()) == list(fields)
+        assert repr(result) == (
+            "PeriodScanResult(p=3, m=2, j=3, r=2, n_max=30, status='ok', n0=1, period_index=18, "
+            "cycle=[7, 1, 4], conjecture_period=18, divides_conjecture=True, note='')"
+        )
+        assert scan_conjecture(3, 2, 3, 2, n_max=4)._asdict() == {
+            **fields, "n_max": 4, "status": "inconclusive", "n0": None, "period_index": None,
+            "cycle": [], "divides_conjecture": None,
+        }
+        result.note = "kept"  # _reference_outcome writes its note
+        assert result.note == "kept"
+        with pytest.raises(TypeError):
+            hash(result)
+
+    def test_reference_outcome(self):
+        row = ReferenceRow(6, 3, 3, 1, 1, 6)
+        outcome = _reference_outcome(row)
+        assert outcome == ReferenceOutcome(row=row, result=outcome.result, matches=True,
+                                           companions=[])
+        assert outcome != ReferenceOutcome(row, outcome.result, False, [])
+        assert repr(outcome).startswith(
+            "ReferenceOutcome(row=ReferenceRow(mp=6, j=3, p=3, r=1, published_n0=1, "
+            "published_period=6, note='', companion=None), result=PeriodScanResult(p=3, "
+        )
+        assert repr(outcome).endswith("note='reproduced'), matches=True, companions=[])")
+        with pytest.raises(TypeError):
+            hash(outcome)
+
+    def test_fields_are_checked(self):
+        row, result = ReferenceRow(6, 3, 3, 1, 1, 6), scan_conjecture(3, 2, 3, 1)
+        outcome = ReferenceOutcome(row, result, True, companions=[])
+        assert outcome == ReferenceOutcome(companions=[], matches=True, result=result, row=row)
+        calls = [
+            ((row, result, True), {}),  # a missing field
+            ((row, result, True, [], None), {}),  # one value too many
+            ((row, result, True, []), {"other": 1}),  # an unknown field
+            ((row, result, True, []), {"row": row}),  # a field given twice
+        ]
+        for args, kwargs in calls:
+            with pytest.raises(TypeError, match=r"ReferenceOutcome\(\) takes the fields"):
+                ReferenceOutcome(*args, **kwargs)
+
+    def test_copies_are_equal(self):
+        values = [PeriodDetection("found", 1, 3), REFERENCE_ROWS[9], scan_conjecture(3, 2, 3, 2),
+                  _reference_outcome(REFERENCE_ROWS[9])]
+        for value in values:
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(value, protocol)) == value
+            assert copy.copy(value) == value and copy.deepcopy(value) == value
 
 
 class TestEmit:
