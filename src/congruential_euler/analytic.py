@@ -298,18 +298,30 @@ def _unit_roots(N: int, j: int) -> tuple[tuple[complex, complex], ...]:
     )
 
 
-def _evaluate(N: int, j: int, z: complex) -> tuple[complex, float]:
-    """H_{N,j}(z) and M(z) = (1/N) sum_k exp(Re(zeta_N^k z)) from one pass over the roots."""
+def _evaluate(N: int, j: int, z: complex) -> tuple[complex, float, float]:
+    """(e^-s H_{N,j}(z), e^-s M(z), s) from one pass over the roots, M as in eval_H.
+
+    For |z| <= _EXP_LIMIT, s is exactly 0.0 and the pass is unscaled.
+    Beyond, s = max_k Re(zeta_N^k z) - _EXP_LIMIT, so the largest term has
+    modulus e^_EXP_LIMIT: no exp overflows, and no sum underflows (s < 0
+    for H_{1,0} = e^z at Re z < -_EXP_LIMIT).  Raises ArithmeticError where
+    rounding_floor(N, z, 1.0) >= 1/4, at N + |z| + 2 >= 2^44: the rounding
+    bound of eval_H is proved only below that (see there), and by then no
+    computed value is more than four times its rounding floor anyway.
+    """
     roots = _unit_roots(N, j)
+    shift = 0.0
     if abs(z) > _EXP_LIMIT:
-        raise ValueError("eval_H: |z| out of double-precision exp range")
+        if rounding_floor(N, z, 1.0) >= 0.25:
+            raise ArithmeticError(f"H_({N},{j}) cannot be resolved in doubles at |z| = {abs(z):.4g}")
+        shift = max((root * z).real for root, _ in roots) - _EXP_LIMIT
     total = 0j
     majorant = 0.0
     for root, twist in roots:
-        exponent = root * z
+        exponent = root * z - shift
         total += twist * cmath.exp(exponent)
         majorant += math.exp(exponent.real)
-    return total / N, majorant / N
+    return total / N, majorant / N, shift
 
 
 def eval_H(N: int, j: int, z: complex) -> complex:
@@ -320,21 +332,30 @@ def eval_H(N: int, j: int, z: complex) -> complex:
     cached; the same expressions give the same doubles as building them
     afresh at every call, so the bound below covers the cached values.
 
-    Rounding bound: for |z| <= 700 and a libm whose exp, sin and cos are
-    correct to one ulp, the returned value differs from H_{N,j}(z) by at
-    most 16 (N + |z| + 1) eps M(z), where eps is the double epsilon and
+    Rounding bound: for a libm whose exp, sin and cos are correct to one
+    ulp, the returned value differs from H_{N,j}(z) by at most
+    16 (N + |z| + 1) eps M(z), where eps is the double epsilon and
     M(z) = (1/N) sum_k exp(Re(zeta_N^k z)) = (1/N) sum_k |kth term| (so
-    |H_{N,m}(z)| <= M(z) for every m).  With u = eps/2: each root of unity
-    comes from an angle below 2 pi with relative error 3u, so it is off by
-    at most 22u, and the product with z by at most 25u |z|.  exp turns that
-    absolute error in the exponent into a relative error of the term, plus
-    about 5u for exp, sin and cos themselves.  The phase factor's angle is
-    below 2 pi N, which gives 25uN + 3u more, and the product 3u.  So each
-    term carries a relative error below (25|z| + 25N + 11)u; summing N terms
-    adds 1.42 (N-1) u sum |terms| and the division u.  The bound is about
-    eps |z| M(z) for large |z|, not a fixed multiple of eps M(z), because
-    the roots of unity are rounded.
+    |H_{N,m}(z)| <= M(z) for every m).  The same bound holds for the scaled
+    value e^-s H_{N,j}(z) that _evaluate returns at any |z| it accepts
+    (N + |z| + 2 < 2^44), with e^-s M(z) for M(z).  With u = eps/2: each
+    root of unity comes from an angle below 2 pi with relative error 3u, so
+    it is off by at most 22u, and the product with z by at most 25u |z|.
+    Subtracting s != 0 rounds by at most u |Re(zeta^k z) - s| <= 2u |z|,
+    as -|z| - s <= Re(zeta^k z) - s <= _EXP_LIMIT < |z| and s < |z|.  So
+    each exponent is off by at most d = 27u |z| < 0.053, which exp turns
+    into a relative error of the term below d e^d < 28.5u |z|, plus about
+    5u for exp, sin and cos themselves.  The phase factor's angle is below
+    2 pi N, which gives 25uN + 3u more, and the product 3u.  So each term
+    carries a relative error below (28.5|z| + 25N + 11)u, plus products of
+    these errors, below 1.4u (N + 1); summing N terms adds 1.42 (N-1) u
+    sum |terms| and the division u.  The bound is about eps |z| M(z) for
+    large |z|, not a fixed multiple of eps M(z), because the roots of unity
+    are rounded.  Raises ValueError past |z| = _EXP_LIMIT, where H itself
+    may leave the double range.
     """
+    if abs(z) > _EXP_LIMIT:
+        raise ValueError("eval_H: |z| out of double-precision exp range")
     return _evaluate(N, j, z)[0]
 
 
@@ -345,8 +366,8 @@ def rounding_floor(N: int, z: complex, majorant: float) -> float:
     zero.  It exceeds the rounding of eval_H at z plus that at a point up
     to 1/2 away plus the rounding of the derivative bound (see
     _edge_phase).  ``majorant`` is M(z), read from the evaluation at z
-    that the caller has made: _evaluate returns it next to H, and M does
-    not depend on j.
+    that the caller has made: _evaluate returns it next to H, both scaled
+    by the same e^-s, and M does not depend on j.
     """
     return 64.0 * (N + abs(z) + 2.0) * sys.float_info.epsilon * majorant
 
@@ -389,32 +410,31 @@ def locate_zero(N: int, j: int, guess: complex, tol: float = 1e-12) -> complex:
     """Newton iteration z <- z - H(z)/H'(z) from a nearby guess.
 
     The derivative uses the index-shift rule H_{N,j}' = H_{N,j-1} (with
-    j = 0 wrapping to N-1).  The iterate is returned once its residual is
+    j = 0 wrapping to N-1).  H, M and H' come from _evaluate, scaled by the
+    same e^-s at each iterate, so value / derivative is the Newton step of
+    H itself.  The iterate is returned once its residual, the scaled
+    |e^-s H(z)| (|H(z)| itself for |z| <= _EXP_LIMIT, where s = 0), is
     below ``tol``, or once the step has stalled and the residual is below
-    max(tol, rounding_floor(N, z, M(z))): beyond |z| of about 18 the
-    rounding of eval_H alone exceeds any fixed tolerance.  H and M come
-    from one _evaluate pass at each iterate.  Raises ValueError if
-    |guess| > _EXP_LIMIT, where eval_H cannot evaluate.  Raises
-    ArithmeticError, naming the last iterate, on a zero derivative, on a
-    Newton step that would leave |z| <= _EXP_LIMIT (as from a guess where
-    H' is only a rounding residue), and if neither acceptance test holds
-    after _NEWTON_STEPS steps.
+    max(tol, rounding_floor(N, z, e^-s M(z))): beyond |z| of about 18 the
+    rounding of eval_H alone exceeds any fixed tolerance.  Raises
+    ArithmeticError, naming the last iterate, on a zero derivative, and if
+    neither acceptance test holds after _NEWTON_STEPS steps; and from
+    _evaluate at an iterate where doubles cannot resolve H (as after a
+    step from a guess where H' is only a rounding residue).
     """
     z = complex(guess)
     j_prime = (j - 1) % N
-    value, majorant = _evaluate(N, j, z)
+    value, majorant, _ = _evaluate(N, j, z)
     residual = abs(value)
     for _ in range(_NEWTON_STEPS):
         if residual < tol:
             return z
-        derivative = eval_H(N, j_prime, z)
+        derivative = _evaluate(N, j_prime, z)[0]
         if derivative == 0:
             raise ArithmeticError(f"locate_zero: zero derivative at {z}")
         step = value / derivative
-        if abs(z - step) > _EXP_LIMIT:
-            raise ArithmeticError(f"locate_zero: Newton step leaves the exp range, last iterate {z}")
         z -= step
-        value, majorant = _evaluate(N, j, z)
+        value, majorant, _ = _evaluate(N, j, z)
         residual = abs(value)
         stalled = abs(step) < 1e-15 * max(1.0, abs(z))
         if stalled and residual < max(tol, rounding_floor(N, z, majorant)):
@@ -440,31 +460,35 @@ def check_special_values(k: int, l: int) -> bool:
     (6,3) family, H_{6,4} = zeta_6^{2(l-1)} H_{6,2}.  Each row is checked
     when l < N.  A relation H_a = f H_b holds when the computed
     |H_a - f H_b| at the computed zero z is below F = rounding_floor(N, z,
-    M), with H_a and M = M(z) from one _evaluate call.
+    M), with H_a, H_b and M = M(z) from _evaluate, all three scaled by the
+    same e^-s (which changes no side of the test but the units).
 
     F covers every error of a true relation.  In units of eps M (eps the
-    double epsilon, u = eps/2, |z| <= 2 k pi <= 700):
+    double epsilon, u = eps/2, N + |z| + 2 < 2^44, where _evaluate
+    accepts z; the rounding bound of eval_H then holds for the scaled
+    values, and |H_b| <= M (1 + 16 (N + |z| + 1) eps) <= 1.07 M):
 
     1. The zero.  predicted_zero rounds sqrt(3) (0.87u relative), the
        product with k - offset (u), the product with math.pi (1.35u), the
        root of unity (its angle below 2 pi carries 2.35u relative error,
        cos and sin 2u more: 16.8u) and one complex product (sqrt(5) u), so
-       the computed z lies within |dz| <= 23u |z| of the true zero.  There
-       H_a - f H_b vanishes, and its derivative H_{a-1} - f H_{b-1} is at
-       most 2 M(w) <= 2 M e^{|dz|} on the segment: 23 |z| (1 + 1e-11).
+       the computed z lies within |dz| <= 23u |z| < 0.045 of the true zero.
+       There H_a - f H_b vanishes, and its derivative H_{a-1} - f H_{b-1}
+       is at most 2 M(w) <= 2 M e^{|dz|} on the segment: 24.1 |z|.
     2. The two evaluations: 16 (N + |z| + 1) each, by the rounding bound
        of eval_H; 32 (N + |z| + 1) in all.
     3. The factor: its angle is below 9 pi/2 with relative error 2.35u,
        and cos and sin add 2u, so it is off by at most 22u = 11 eps;
-       times |H_b| <= M (1 + 1e-10): 11.01.
+       times |H_b|: 11.8.
     4. The product (sqrt(5) u), the difference and abs round by at most
-       9u of 2 M: 9.
+       9u of 2.14 M: 9.7.
 
-    The sum, 32 N + 55 |z| + 53, is below 64 (N + |z| + 2) with room for
-    the rounding of F and of M itself (relative 1e-11, as each exponent
-    is off by at most 25u |z|).  So a true relation always passes, and a
-    false one fails wherever |H_a| or |f H_b| is far above F.  Beyond
-    |z| = 700 (k >= 112) _evaluate raises ValueError.
+    The sum, 32 N + 56.1 |z| + 53.5, is below 0.94 times 64 (N + |z| + 2).
+    That leaves room for the rounding of F and of M itself: each exponent
+    is off by at most d = 27u |z| < 0.053 (see eval_H), so the computed M
+    is at least e^-d > 0.948 of the true one.  So a true relation always
+    passes, and a false one fails wherever |H_a| or |f H_b| is far above
+    F.  _evaluate raises ArithmeticError from 2 k pi of about 2^44 on.
     """
     if k < 1 or not 0 <= l < 6:
         raise ValueError("check_special_values: need k >= 1 and 0 <= l < 6")
@@ -472,8 +496,8 @@ def check_special_values(k: int, l: int) -> bool:
         N = family[0]
         if l < N:
             z = predicted_zero(family, k, l)
-            value, majorant = _evaluate(N, a, z)
-            if not abs(value - factor(l) * eval_H(N, b, z)) < rounding_floor(N, z, majorant):
+            value, majorant, _ = _evaluate(N, a, z)
+            if not abs(value - factor(l) * _evaluate(N, b, z)[0]) < rounding_floor(N, z, majorant):
                 return False
     return True
 
@@ -500,11 +524,13 @@ def _edge_phase(N: int, j: int, a: complex, b: complex, pieces: list) -> float:
     With B either bound, |H(w) - H(p)| <= h B on the disk.  A piece is
     accepted when the computed value Hc(p) satisfies |Hc(p)| > h B + F(p),
     F = rounding_floor, first with the majorant bound and, only if that
-    fails, with the Taylor bound; otherwise it is halved.  As h > 0 and
-    rounding is monotone, this accepts exactly when h times the smaller
-    bound would.  As h <= 1/2, M(p + h) <= 1.65 M(p), and by the rounding
-    bound of eval_H, F(p) exceeds the rounding error at p plus that at the
-    piece's end plus the rounding of h B itself.  Hence:
+    fails and r < m, with the Taylor bound; otherwise it is halved.  For
+    r >= m, r^m/m! >= m^m/m! >= 1, so the Taylor bound is at least e^r >=
+    M(p) e^h and never the smaller; as h > 0 and rounding is monotone, the
+    test accepts exactly when h times the smaller bound would.  As h <= 1/2,
+    M(p + h) <= 1.65 M(p), and by the rounding bound of eval_H, F(p)
+    exceeds the rounding error at p plus that at the piece's end plus the
+    rounding of h B itself.  Hence:
 
     1. |H(w)| >= |H(p)| - h B > 0 on the closed disk of radius h about p:
        H has no zero on or near the piece.
@@ -526,6 +552,19 @@ def _edge_phase(N: int, j: int, a: complex, b: complex, pieces: list) -> float:
        readings, and as each reading computes H at its point itself, the
        connectors at a box's corners still cancel.
 
+    Past |z| = _EXP_LIMIT, _evaluate returns e^-s H and e^-s M, with s
+    depending on the point.  None of the above changes when the values at
+    each point are multiplied by a positive factor.  The test at p reads
+    Hc(p), M(p) and F(p), which is linear in M(p), so all its terms carry
+    the factor of p; read in units of that factor, steps 1 and 2 hold as
+    stated, with the computed value at the piece's end multiplied by a
+    positive number.  Every phase, in the walk and in _reading alike, is
+    the principal phase of a ratio of two computed values, which no
+    positive factor on either changes.  Only the Taylor bound carries no
+    factor, so it is tried only where s = 0; there, with r < m, r stays
+    below 701 (as max_k Re(zeta_N^k p) >= |p| cos(pi/N)), so its exp does
+    not overflow.
+
     A piece that cannot be accepted before h < 1e-9 max(1, |p|) means a
     zero on or within about that distance of the segment: ArithmeticError
     is raised rather than a count guessed.  The walk appends to ``pieces``
@@ -536,7 +575,7 @@ def _edge_phase(N: int, j: int, a: complex, b: complex, pieces: list) -> float:
     length = abs(b - a)
     direction = (b - a) / length
     done = 0.0
-    value, majorant = _evaluate(N, j, a)  # H and M at the start of each piece
+    value, majorant, shift = _evaluate(N, j, a)  # H, M and s at the start of each piece
     total = 0.0
     pieces.append((a, value, 0.0))
     while done < length:
@@ -544,8 +583,9 @@ def _edge_phase(N: int, j: int, a: complex, b: complex, pieces: list) -> float:
         room = abs(value) - rounding_floor(N, point, majorant)
         h = min(length - done, 0.5)
         while True:
+            r = abs(point) + h
             if (h * (majorant * math.exp(h)) < room
-                    or h * _taylor_bound(m, abs(point) + h) < room):
+                    or shift == 0 and r < m and h * _taylor_bound(m, r) < room):
                 break
             h /= 2.0
             if h < 1e-9 * max(1.0, abs(point)):
@@ -555,7 +595,7 @@ def _edge_phase(N: int, j: int, a: complex, b: complex, pieces: list) -> float:
                 )
         done = length if h == length - done else done + h
         end = b if done >= length else a + done * direction
-        following, majorant = _evaluate(N, j, end)
+        following, majorant, shift = _evaluate(N, j, end)
         total += cmath.phase(following / value)
         value = following
         pieces.append((end, value, total))
@@ -640,8 +680,6 @@ def _box_count(N: int, j: int, box: tuple[float, float, float, float], walked: _
 _ROOT_MARGIN = 0.25  # the root box's half side exceeds the radius by this
 _ROOT_CENTRE = complex(0.0713, 0.0419)  # 0 strictly inside; split lines miss the axes, where zeros often lie
 _SPLIT_FRACTIONS = (0.5137, 0.4629)  # off-centre, the second used when the first meets a zero
-# the largest radius whose root box keeps its corners within the exp range of eval_H
-_SEARCH_REACH = (_EXP_LIMIT - abs(_ROOT_CENTRE)) / math.sqrt(2.0) - _ROOT_MARGIN
 
 
 def _split(
@@ -683,12 +721,13 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
     locate_zero from its centre down to the rounding floor (tol=0); the
     result is kept only if it lies in the box (it is then that box's
     zero), and otherwise the box is split again.
-    Zeros are sorted by modulus, then phase.  Raises ValueError if the
-    search box leaves the exp range of eval_H, and ArithmeticError if a
-    zero sits on a box edge that no split can avoid.
+    Zeros are sorted by modulus, then phase.  Raises ValueError for a
+    negative radius, and ArithmeticError if a zero sits on a box edge that
+    no split can avoid or if the root box reaches where doubles cannot
+    resolve H (see _evaluate; a radius of about 1.2e13).
     """
-    if not 0 <= radius <= _SEARCH_REACH:
-        raise ValueError(f"find_zeros_in_disk: need 0 <= radius <= {_SEARCH_REACH:.1f} (exp range)")
+    if not radius >= 0:
+        raise ValueError("find_zeros_in_disk: need radius >= 0")
     half = radius + _ROOT_MARGIN
     root = (
         _ROOT_CENTRE.real - half, _ROOT_CENTRE.real + half,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import os
 import re
 import sys
@@ -132,8 +131,6 @@ def _cmd_compute(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    import json
-
     from . import congruences
 
     report = args.check(congruences, args)  # each theorem's parser sets its check
@@ -142,10 +139,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
          f"({report.instances_checked} instances)"]
         + [f"  witness {witness}" for witness in report.failures]
     )
-    tsv = (
-        f"{report.theorem_id}\t{report.params}\t{report.instances_checked}\t"
-        f"{report.status}\t{json.dumps(report.failures, sort_keys=True)}"
-    )
+    tsv = None
+    if args.format == "tsv":
+        import json
+
+        tsv = (f"{report.theorem_id}\t{report.params}\t{report.instances_checked}\t"
+               f"{report.status}\t{json.dumps(report.failures, sort_keys=True)}")
     return _emit_rows(args, [(report.to_dict(), text, report.passed, tsv)])
 
 
@@ -256,10 +255,10 @@ def _zero_rows(analytic, args: argparse.Namespace):
         raise ValueError("identities zeros: --count must be at least 1")
     ring = -(-args.count // N)  # the ring of the count-th zero; search halfway to the next
     radius = sum(abs(analytic.predicted_zero((N, j), k, 0)) for k in (ring, ring + 1)) / 2
-    if radius > analytic._SEARCH_REACH:
+    if radius > analytic._EXP_LIMIT:  # each row prints |H| at its zero from eval_H
         raise ValueError(f"identities zeros: --count {args.count} needs the certified search "
-                         f"out to |z| = {radius:.1f}, past its reach of "
-                         f"{analytic._SEARCH_REACH:.1f}")
+                         f"out to |z| = {radius:.1f}, past eval_H's exp range of "
+                         f"{analytic._EXP_LIMIT:.1f}")
     rows, strays = analytic.lattice_zeros((N, j), radius)
     for k, l, predicted, zero in rows[:args.count]:
         record = {"family": f"{N},{j}", "k": k, "l": l, "ok": zero is not None,
@@ -287,10 +286,6 @@ def _zero_rows(analytic, args: argparse.Namespace):
 def _special_value_rows(analytic, args: argparse.Namespace):
     if args.k_max < 1:
         raise ValueError("identities special-values: --k-max must be at least 1")
-    if 2.0 * args.k_max * math.pi > analytic._EXP_LIMIT:  # the largest |z| checked is 2 k pi
-        raise ValueError(f"identities special-values: --k-max {args.k_max} needs H at "
-                         f"|z| = {2.0 * args.k_max * math.pi:.1f}, past its reach of "
-                         f"{analytic._EXP_LIMIT:.1f}")
     for k in range(1, args.k_max + 1):
         for l in range(6):
             good = analytic.check_special_values(k, l)

@@ -219,8 +219,6 @@ class TestEvalH:
     def test_rejects_huge_argument(self):
         with pytest.raises(ValueError):
             eval_H(2, 0, 800)
-        with pytest.raises(ValueError):
-            _evaluate(2, 0, 800)
 
     def test_cached_roots_give_the_same_doubles(self):
         # The rounding bound of eval_H is proved for roots of unity built by
@@ -240,7 +238,26 @@ class TestEvalH:
             z = cmath.rect(rng.uniform(0.0, 60.0), rng.uniform(-math.pi, math.pi))
             value, majorant = reference(N, j, z)
             assert eval_H(N, j, z) == value
-            assert _evaluate(N, j, z) == (value, majorant)
+            assert _evaluate(N, j, z) == (value, majorant, 0.0)
+
+    def test_scaled_past_the_exp_limit(self):
+        # Below 709.78 exp still fits a double, so e^s times the scaled
+        # values can be checked against an unscaled sum.
+        for N, j, z in ((2, 0, 705.0), (4, 1, 702 - 30j), (1, 0, 500 - 600j), (6, 3, 706j)):
+            value, majorant, s = _evaluate(N, j, z)
+            roots = [cmath.rect(1.0, 2.0 * math.pi * k / N) for k in range(N)]
+            assert s == max((root * z).real for root in roots) - 700.0 != 0.0
+            expected = sum(cmath.rect(1.0, -2.0 * math.pi * k * j / N) * cmath.exp(root * z)
+                           for k, root in enumerate(roots)) / N
+            assert abs(value * math.exp(s) - expected) <= 1e-12 * abs(expected)
+            assert majorant * math.exp(s) == pytest.approx(sum(math.exp((r * z).real) for r in roots) / N)
+
+    def test_raises_where_doubles_cannot_resolve_H(self):
+        # the rounding bound of eval_H is proved for N + |z| + 2 < 2^44
+        value, majorant, s = _evaluate(4, 0, 2.0**44 - 8.0)
+        assert s > 0 and rounding_floor(4, 2.0**44 - 8.0, majorant) < majorant / 4
+        with pytest.raises(ArithmeticError, match=r"H_\(4,0\) cannot be resolved in doubles"):
+            _evaluate(4, 0, 2.0**44 - 6.0)
 
 
 class TestZeros:
@@ -285,17 +302,18 @@ class TestZeros:
             locate_zero(4, 0, 100 + 100j)
 
     def test_zero_derivative_raises(self, monkeypatch):
-        monkeypatch.setattr(analytic, "eval_H", lambda N, j, z: 0j)
+        evaluate = analytic._evaluate
+        monkeypatch.setattr(analytic, "_evaluate",  # H_{4,3} = H_{4,0}' is zero, H_{4,0} is not
+                            lambda N, j, z: (0j, 1.0, 0.0) if j == 3 else evaluate(N, j, z))
         with pytest.raises(ArithmeticError, match=r"zero derivative at \(1\+1j\)"):
             locate_zero(4, 0, 1 + 1j)
 
     def test_step_out_of_exp_range_raises_arithmetic_error(self):
         # H_{2,0}' = sinh evaluates to a rounding residue of about 6e-17 at 0,
-        # so the first Newton step would land far beyond |z| = 700
-        with pytest.raises(ArithmeticError, match=r"leaves the exp range, last iterate 0j"):
+        # so the first Newton step lands near |z| = 1.6e16, where doubles
+        # cannot resolve H
+        with pytest.raises(ArithmeticError, match=r"H_\(2,0\) cannot be resolved in doubles"):
             locate_zero(2, 0, 0j)
-        with pytest.raises(ValueError, match="exp range"):  # a guess out of range is bad input
-            locate_zero(2, 0, 701)
 
     @pytest.mark.parametrize("family,k", [((4, 0), 5), ((4, 2), 5), ((6, 3), 3)])
     def test_zeros_past_modulus_18(self, family, k):
@@ -330,6 +348,10 @@ class TestSpecialValues:
     def test_every_zero_in_the_exp_range(self):
         assert all(check_special_values(k, l) for k in range(1, 112) for l in range(6))
 
+    def test_every_zero_past_the_exp_range_too(self):
+        # from k = 112 on some zeros lie past |z| = 700, where H is scaled
+        assert all(check_special_values(k, l) for k in range(1, 400) for l in range(6))
+
     @pytest.mark.parametrize("row", range(3))
     def test_a_negated_factor_fails(self, monkeypatch, row):
         rows = list(analytic._SPECIAL_VALUES)
@@ -338,14 +360,15 @@ class TestSpecialValues:
         monkeypatch.setattr(analytic, "_SPECIAL_VALUES", tuple(rows))
         assert not check_special_values(1, 0)
         assert not check_special_values(111, family[0] - 1)
+        assert not check_special_values(1000, family[0] - 1)
 
     def test_range_errors(self):
         with pytest.raises(ValueError):
             check_special_values(0, 0)
         with pytest.raises(ValueError):
             check_special_values(1, 6)
-        with pytest.raises(ValueError):
-            check_special_values(10**6, 0)
+        with pytest.raises(ArithmeticError, match="cannot be resolved in doubles"):
+            check_special_values(10**14, 0)
 
 
 def _winding_on_circle(N, j, radius):
@@ -563,7 +586,7 @@ class TestZeroSearch:
             length = abs(b - a)
             direction = (b - a) / length
             done, total = 0.0, 0.0
-            value, majorant = _evaluate(N, j, a)
+            value, majorant, _ = _evaluate(N, j, a)
             while done < length:
                 point = a + done * direction
                 room = abs(value) - rounding_floor(N, point, majorant)
@@ -574,7 +597,7 @@ class TestZeroSearch:
                         raise ArithmeticError("no certified piece")
                 done = length if h == length - done else done + h
                 end = b if done >= length else a + done * direction
-                following, majorant = _evaluate(N, j, end)
+                following, majorant, _ = _evaluate(N, j, end)
                 total += cmath.phase(following / value)
                 value = following
             return total
@@ -601,10 +624,22 @@ class TestZeroSearch:
             assert outcome(_edge_phase, N, j, a, b, []) == expected
             assert expected == "raises" or not through_a_zero
 
+    def test_lattice_out_to_700(self):
+        # the root box reaches |z| of about 990, where H is scaled
+        rows, strays = lattice_zeros((4, 2), 700.0)
+        assert len(rows) == 628 and strays == []
+        assert all(zero is not None for *_, zero in rows)
+
+    def test_exp_has_no_zeros_past_the_exp_limit(self):
+        # H_{1,0} = e^z: its one term would underflow at Re z < -745 unscaled
+        assert find_zeros_in_disk(1, 0, 800.0) == []
+
+    def test_past_what_doubles_resolve_raises(self):
+        with pytest.raises(ArithmeticError, match="cannot be resolved in doubles"):
+            find_zeros_in_disk(4, 0, 1e14)
+
     def test_radius_beyond_exp_range(self):
-        with pytest.raises(ValueError, match="exp range"):
-            find_zeros_in_disk(4, 0, 600.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="radius >= 0"):
             find_zeros_in_disk(4, 0, -1.0)
 
 

@@ -502,11 +502,11 @@ class TestIdentities:
         monkeypatch.setattr(analytic, "find_zeros_in_disk", None)  # no search may run
         code, out, err = run(
             capsys, "--cache-dir", str(tmp_path), "identities", "zeros", "--family", "4,2",
-            "--count", "441",
+            "--count", "629",
         )
         assert code == 2 and out == ""
-        assert err == ("error: identities zeros: --count 441 needs the certified search "
-                       "out to |z| = 495.4, past its reach of 494.7\n")
+        assert err == ("error: identities zeros: --count 629 needs the certified search "
+                       "out to |z| = 704.2, past eval_H's exp range of 700.0\n")
 
     def test_zeros_fails_on_a_certified_zero_off_the_lattice(self, capsys, tmp_path, monkeypatch):
         search = analytic.find_zeros_in_disk
@@ -590,13 +590,11 @@ class TestIdentities:
         )
         assert code == 0
 
-    def test_special_values_past_the_exp_range_exit_2_before_any_row(self, capsys, tmp_path):
+    def test_special_values_past_the_exp_range(self, capsys, tmp_path):
         args = ("--cache-dir", str(tmp_path), "identities", "special-values", "--k-max")
-        code, out, err = run(capsys, *args, "112")  # 2 * 112 * pi > 700
-        assert (code, out) == (2, "")
-        assert err.startswith("error: identities special-values: --k-max 112 needs H at |z| = 703.7")
-        code, out, _ = run(capsys, *args, "111")
-        assert code == 0 and len(out.splitlines()) == 111 * 6
+        code, out, err = run(capsys, *args, "112")  # 2 * 112 * pi > 700: H is scaled there
+        assert (code, err) == (0, "") and len(out.splitlines()) == 112 * 6
+        assert out.splitlines()[-1] == "special values k=112 l=5: True"
 
 
 class TestCache:

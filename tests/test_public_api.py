@@ -118,3 +118,17 @@ def test_a_text_scan_loads_neither_dataclasses_nor_json(tmp_path):
     assert lines[:3] == ["Parameters\tp\tr\tn0\tperiod\tcycle",
                          "(mp,j)=(6,3)\t3\t2\t1\t18\tcycle=[7,1,4]", "loaded:"]
     assert json.loads(lines[3])["cycle"] == [7, 1, 4]
+
+
+def test_a_text_verify_loads_no_json(tmp_path):
+    # only the TSV row of a report holds JSON (its witnesses)
+    probe = ("import sys\nfrom congruential_euler import cli\n"
+             "args = ['--cache-dir', sys.argv[1], 'verify', 'main', '--p', '3', '--j', '0',\n"
+             "        '--r', '1']\n"
+             "assert cli.main(args) == 0\n"
+             "print('loaded:', *sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))\n"
+             "assert cli.main(['--format', 'tsv', *args]) == 0\n")
+    run = subprocess.run([sys.executable, "-c", probe, str(tmp_path)], cwd=SRC,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout.splitlines() == ["main_theorem [p=3 j=0 r=1]: PASS (21 instances)", "loaded:",
+                                       "main_theorem\tp=3 j=0 r=1\t21\tpass\t[]"]
