@@ -15,10 +15,14 @@ words wide; the divisor is C(Nn+j, Nn) = C(Nn+j, j).  The recurrence sums
 in integers: it keeps every entry times one common denominator and one
 factorial cofactor, grows that denominator only when a division needs
 it, and reduces each new entry once, when it goes into the memo (see
-:func:`_extend`).  For j = 0 the divisor is 1 and the loop never leaves
-the integers.  The oracle stays an independent route:
+:func:`_extend`).  Each row's sum is a known multiple of that cofactor,
+so the quotient is read from the sum's low bits by a 2-adic exact
+division instead of a long division.  For j = 0 the divisor is 1 and the
+loop never leaves the integers.  The oracle stays an independent route:
 its series inverse weighs terms by C(n, m), not by C(Nn+j, Nm), and
-reduces each coefficient by its own arithmetic.
+reduces each coefficient by its own arithmetic; it computes only the
+indices that are multiples of N, where the kernel's inverse can be
+nonzero.
 :func:`residue_table` runs the same recurrence in Z/p^R and returns the
 values mod p^r without building the exact rationals.
 """
@@ -90,6 +94,33 @@ def _memo(params: SeqParams) -> list[Fraction]:
     return _TABLES.setdefault(params, [Fraction(factorial(params.j))])
 
 
+def _exact_quotient(acc: int, shift: int, odd: int, inv: int, bits: int) -> tuple[int, int, int]:
+    """acc / top for a multiple acc of top = 2^shift * odd, read from acc's low bits.
+
+    ``inv`` is odd^-1 mod 2^bits.  Returns the quotient q, and the inverse
+    with its width, lifted if q needed more bits than ``bits``.
+
+    Let w = acc.bit_length() - top.bit_length() + 2, at least 1.  Then
+    |acc| < 2^acc.bit_length() and top >= 2^(top.bit_length() - 1), so
+    |q| < 2^(w-1).  A Newton step inv <- inv * (2 - odd * inv) mod 2^(2 bits)
+    doubles the width: if odd * inv = 1 - e with 2^bits dividing e, then
+    odd * inv * (2 - odd * inv) = 1 - e^2.  top divides acc, so
+    acc >> shift = odd * q exactly and q = (acc >> shift) * inv (mod 2^w).
+    Of the residues mod 2^w only one lies in [-2^(w-1), 2^(w-1)): q is the
+    residue, less 2^w if its bit w-1 is set.
+    """
+    width = max(acc.bit_length() - odd.bit_length() - shift + 2, 1)
+    while bits < width:
+        bits *= 2
+        mask = (1 << bits) - 1
+        inv = inv * (2 - (odd & mask) * inv) & mask
+    mask = (1 << width) - 1
+    q = ((acc >> shift) & mask) * (inv & mask) & mask
+    if q >> (width - 1):
+        q -= 1 << width
+    return q, inv, bits
+
+
 def _extend(params: SeqParams, n_max: int) -> list[Fraction]:
     """The memo's list for ``params``, extended by the recurrence to n_max if shorter.
 
@@ -109,7 +140,7 @@ def _extend(params: SeqParams, n_max: int) -> list[Fraction]:
 
     from acc = 0, so lifted[m] ends up weighed by s_{n-m+1} * ... * s_n =
     perm(M, Nm), and acc = sum_{m<n} perm(M, Nm) * lifted[m]
-    = top * scale * S_n.  Then total = -(acc // top) = scale * E_n * d,
+    = top * scale * S_n.  Then total = -acc / top = scale * E_n * d,
     g = gcd(total, d) and grow = d // g.  If grow > 1, ``scale`` and every
     ``lifted[m]`` are multiplied by grow.  The new entry joins the memo as
     ``Fraction(total // g, scale)`` and, if a later row reads it, joins
@@ -120,8 +151,16 @@ def _extend(params: SeqParams, n_max: int) -> list[Fraction]:
     stepping it along m, by exact division by perm(Nm, N) =
     (Nm)! / (N(m-1))!, keeps it one.  So each lifted[m] is an integer
     while scale * E_m is.  scale * S_n = sum_{m<n} C(M, Nm) * scale * E_m
-    is an integer too, so top divides acc = top * scale * S_n and
-    acc // top has no remainder.  g divides total, so d divides
+    is an integer too, so top divides acc = top * scale * S_n.  So
+    :func:`_exact_quotient` can read acc / top from acc's low bits.  With
+    top = 2^s * odd, written once per call, acc >> s = odd * (acc / top)
+    exactly, so acc / top = (acc >> s) * odd^-1 (mod 2^w), where w is
+    chosen with |acc / top| < 2^(w-1); of the residues mod 2^w only one
+    lies in [-2^(w-1), 2^(w-1)).  odd^-1 mod 2^w is lifted by Newton steps
+    when a row needs more bits than the rows before it, and kept.  Each
+    row costs one w-bit product, where ``acc // top`` would run a long
+    division over all of top's bits (Jebelean, "An algorithm for exact
+    division", J. Symbolic Comput. 15, 1993).  g divides total, so d divides
     total * grow = (total / g) * d and total // g = total * grow / d =
     scale * grow * E_n with no remainder.  After the rescaling,
     lifted[m] = scale * E_m * top / (Nm)! holds for every m <= n, by
@@ -143,11 +182,13 @@ def _extend(params: SeqParams, n_max: int) -> list[Fraction]:
         if m:
             cofactor //= perm(N * m, N)  # top / (Nm)!
         lifted.append(value.numerator * (scale // value.denominator) * cofactor)
+    shift = (top & -top).bit_length() - 1  # top = 2^shift * odd
+    odd, inv, bits = top >> shift, 1, 1  # inv = odd^-1 mod 2^bits
     for n in range(start, n_max + 1):
         acc = 0
         for step, u in zip(steps, reversed(lifted)):  # m = n-1 down to 0
             acc = acc * step + u
-        total = -(acc // top)
+        total, inv, bits = _exact_quotient(-acc, shift, odd, inv, bits)  # -acc / top
         divisor = comb(N * n + j, j)
         g = gcd(total, divisor)
         grow = divisor // g

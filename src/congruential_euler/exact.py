@@ -11,6 +11,8 @@ big-by-small multiplication and division instead of building every
 C(n, k) from scratch.  The series product and inverse walk only the
 nonzero coefficients of their left operand and skip a term whose partner
 coefficient is zero, so an N-sparse kernel costs about 1/N of a dense one.
+The inverse also computes only the coefficients at multiples of the gcd
+of its operand's support past the constant term; the others are 0.
 Each coefficient's terms are added pairwise in a balanced tree, adjacent
 fractions meeting over the lcm of their two denominators, and the root is
 reduced once (binary splitting; Haible and Papanikolaou, "Fast
@@ -327,17 +329,26 @@ def series_multiply(a: EgfSeries, b: EgfSeries) -> EgfSeries:
 
 
 def series_invert(a: EgfSeries) -> EgfSeries:
-    """Multiplicative inverse to truncation order; requires a_0 != 0."""
+    """Multiplicative inverse to truncation order; requires a_0 != 0.
+
+    The inverse c is c_0 = 1/a_0 and c_n = -c_0 sum_{m in S} C(n, m) a_m c_{n-m}
+    for n >= 1, where S is the support of a past its constant term.  Only
+    indices n that are multiples of g = gcd(S) are computed; every other
+    c_n is exactly 0, by induction on n: if g does not divide n, it divides
+    no n - m with m in S, so every c_{n-m} in the sum is 0.  An empty S
+    gives the stride order + 1, and c is the constant 1/a_0.
+    """
     ca = a.coeffs
     if ca[0] == 0:
         raise ValueError("non-invertible series")
     inv0 = 1 / ca[0]
-    out = [inv0]
+    out = [inv0] + [Fraction(0)] * a.order
     support = [m for m in range(1, a.order + 1) if ca[m]]
-    partner = [True]  # partner[i]: out[i] != 0
-    for n in range(1, a.order + 1):
-        out.append(-inv0 * _convolve(n, support, partner, ca, out))
-        partner.append(bool(out[n]))
+    partner = [True] + [False] * a.order  # partner[i]: out[i] != 0
+    stride = gcd(*support) or a.order + 1  # gcd() of no numbers is 0
+    for n in range(stride, a.order + 1, stride):
+        out[n] = -inv0 * _convolve(n, support, partner, ca, out)
+        partner[n] = bool(out[n])
     return EgfSeries(tuple(out))
 
 

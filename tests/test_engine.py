@@ -185,6 +185,44 @@ class TestScaledRecurrence:
         assert count_rows == [4 * n + 2 for n in range(11, 41)]
 
 
+
+def split_top(top: int) -> tuple[int, int]:
+    """(shift, odd) with top = 2^shift * odd."""
+    shift = (top & -top).bit_length() - 1
+    return shift, top >> shift
+
+
+# 0! and 1! have no factor 2, 2! has odd part 1, and (N(n_max-1))! for
+# (4, 2) n <= 300 is a top the recurrence uses
+TOPS = [factorial(0), factorial(1), factorial(2), factorial(12), factorial(4 * 299)]
+
+
+class TestExactQuotient:
+    @pytest.mark.parametrize("top", TOPS)
+    @pytest.mark.parametrize("k", [0, 1, -1, 2**300 + 1, -(2**300 + 1)])
+    def test_matches_floor_division(self, top, k):
+        assert engine._exact_quotient(k * top, *split_top(top), 1, 1)[0] == k * top // top == k
+
+    @settings(deadline=None)
+    @given(top=st.sampled_from(TOPS), k=st.integers(-(2**2000), 2**2000))
+    def test_random_multiples_match_floor_division(self, top, k):
+        assert engine._exact_quotient(k * top, *split_top(top), 1, 1)[0] == k
+
+    def test_lifts_and_keeps_the_inverse(self):
+        top = factorial(300)
+        shift, odd = split_top(top)
+        k = -(3**700)  # 1110 bits: the inverse doubles from 1 bit to 2048
+        q, inv, bits = engine._exact_quotient(k * top, shift, odd, 1, 1)
+        assert q == k and bits == 2048 and odd * inv % 2**bits == 1
+        # a narrower row masks the kept inverse instead of lifting it again
+        assert engine._exact_quotient(5 * top, shift, odd, inv, bits) == (5, inv, bits)
+
+    @pytest.mark.parametrize("N,j", [(5, 0), (3, 5)])
+    def test_every_row_matches_plain_fraction_recurrence(self, forget_tables, N, j):
+        forget_tables(SeqParams(N, j))
+        assert compute_table(SeqParams(N, j), 100).values == plain_recurrence(N, j, 100)
+
+
 ORACLE_PARAMS = [
     (2, 0), (3, 0), (4, 0), (4, 2),
     (5, 0), (5, 1), (5, 2), (5, 3), (5, 4),

@@ -300,6 +300,29 @@ class TestSparseSeries:
         assert list(series_invert(EgfSeries(a)).coeffs) == dense_invert(a)
 
     @settings(deadline=None)
+    @given(st.integers(2, 7), sparse_coeffs(constant_term=True))
+    def test_invert_on_a_support_lattice_matches_dense(self, g, draws):
+        # spread the drawn coefficients onto the multiples of g, so the
+        # support's gcd is a multiple of g
+        a = [Fraction(0)] * (g * (len(draws) - 1) + 1)
+        a[::g] = draws
+        inverse = list(series_invert(EgfSeries(a)).coeffs)
+        assert inverse == dense_invert(a)
+        assert not any(c for n, c in enumerate(inverse) if n % g)
+
+    @pytest.mark.parametrize("order", [1, 2, 9])
+    def test_invert_constant_series(self, order):
+        inverse = series_invert(EgfSeries([Fraction(-3, 4)] + [0] * order))
+        assert inverse.coeffs == (Fraction(-4, 3),) + (Fraction(0),) * order
+
+    def test_invert_support_with_gcd_one_stays_dense(self):
+        # support {2, 3}: no coefficient at 1, yet every index past 1 is reachable
+        a = [1, 0, Fraction(1, 2), 5] + [0] * 9
+        inverse = list(series_invert(EgfSeries(a)).coeffs)
+        assert inverse == dense_invert(a)
+        assert inverse[1] == 0 and all(inverse[2:])
+
+    @settings(deadline=None)
     @given(st.lists(mixed_rationals, min_size=1, max_size=25),
            st.lists(mixed_rationals, min_size=1, max_size=25))
     def test_mixed_denominators_match_dense(self, a, b):
