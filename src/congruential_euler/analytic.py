@@ -282,16 +282,18 @@ _MATCH_TOL = 1e-9  # a certified zero this close to a lattice point is that poin
 
 _EXP_LIMIT = 700.0  # beyond this, exp overflows doubles
 _NEWTON_STEPS = 50  # locate_zero gives up after this many Newton steps
-# one search's walks: each axis-parallel line (horizontal, level) -> its walked
-# segments, and each walk's end or read corner z -> the computed H(z) (see _box_count)
-_Walked = dict
+
+
+def _check_kernel(name: str, N: int, j: int) -> None:
+    """Raise ValueError, naming the caller, unless H_{N,j} is a kernel: N >= 1 and 0 <= j < N."""
+    if N < 1 or not 0 <= j < N:
+        raise ValueError(f"{name}: need N >= 1 and 0 <= j < N")
 
 
 @functools.lru_cache(maxsize=64)
 def _unit_roots(N: int, j: int) -> tuple[tuple[complex, complex], ...]:
     """The pairs (zeta_N^k, zeta_N^{-kj}), k = 0..N-1, that every evaluation reads."""
-    if N < 1 or not 0 <= j < N:
-        raise ValueError("eval_H: need N >= 1 and 0 <= j < N")
+    _check_kernel("eval_H", N, j)
     return tuple(
         (cmath.rect(1.0, 2.0 * math.pi * k / N), cmath.rect(1.0, -2.0 * math.pi * k * j / N))
         for k in range(N)
@@ -420,8 +422,10 @@ def locate_zero(N: int, j: int, guess: complex, tol: float = 1e-12) -> complex:
     ArithmeticError, naming the last iterate, on a zero derivative, and if
     neither acceptance test holds after _NEWTON_STEPS steps; and from
     _evaluate at an iterate where doubles cannot resolve H (as after a
-    step from a guess where H' is only a rounding residue).
+    step from a guess where H' is only a rounding residue).  Raises
+    ValueError unless N >= 1 and 0 <= j < N.
     """
+    _check_kernel("locate_zero", N, j)
     z = complex(guess)
     j_prime = (j - 1) % N
     value, majorant, _ = _evaluate(N, j, z)
@@ -547,10 +551,11 @@ def _edge_phase(N: int, j: int, a: complex, b: complex, pieces: list) -> float:
     4. Every point c of the piece lies in the disk of step 1, and F(p)
        covers the rounding at c as at the piece's end, so the principal
        phase of (computed value at c / Hc(p)) is exactly the change of arg
-       along the path of step 2 stopped at c.  A sub-segment is read this
-       way (_read_edge): its change of arg is the difference of two such
-       readings, and as each reading computes H at its point itself, the
-       connectors at a box's corners still cancel.
+       along the path of step 2 stopped at c.  A box's side that is part
+       of a walked segment is read this way (_reading): its change of arg
+       is the difference of the readings at its ends.  Each corner of a
+       box is an end of a walk, and the reading there divides the value
+       that walk computed, so the connectors at the corners still cancel.
 
     Past |z| = _EXP_LIMIT, _evaluate returns e^-s H and e^-s M, with s
     depending on the point.  None of the above changes when the values at
@@ -602,79 +607,43 @@ def _edge_phase(N: int, j: int, a: complex, b: complex, pieces: list) -> float:
     return total
 
 
-def _line(a: complex, b: complex) -> tuple[tuple[bool, float], float, float]:
-    """The line (horizontal, level) of the axis-parallel edge (a, b), and a's and b's places on it."""
-    if a.imag == b.imag:
-        return (True, a.imag), a.real, b.real
-    return (False, a.real), a.imag, b.imag
+def _walk(N: int, j: int, a: complex, b: complex):
+    """Walk the edge (a, b) afresh: its side (segment, 0.0, change of arg), Hc(a) and Hc(b).
 
-
-def _segment(walked: _Walked, a: complex, b: complex):
-    """The walked segment that holds the edge (a, b), and the keys of a and b in it; or None.
-
-    A segment is (sign, keys, readings): keys[k] is sign times the place
-    of the walk's point p_k on its line, ascending in k, and readings[k] is
-    (Hc(p_k), change of arg from the walk's start to p_k).
+    A segment is (sign, keys, pieces): keys[k] is sign times the place of
+    the walk's point p_k on its line, ascending in k, and pieces[k] is
+    (p_k, Hc(p_k), change of arg from a to p_k), as _edge_phase lists
+    them.  A box holds each of its sides as (segment, reading at the
+    side's counterclockwise start, reading at its end), read off the
+    segment that holds the side (see _reading and _split).
     """
-    line, u, v = _line(a, b)
-    for segment in walked.get(line, ()):
-        sign, keys, _ = segment
-        if keys[0] <= sign * u <= keys[-1] and keys[0] <= sign * v <= keys[-1]:
-            return segment, sign * u, sign * v
-    return None
-
-
-def _walk(N: int, j: int, a: complex, b: complex, walked: _Walked) -> None:
-    """Walk the edge (a, b) afresh and keep its pieces in ``walked`` (see _segment)."""
-    line, u, v = _line(a, b)
     pieces: list[tuple[complex, complex, float]] = []
-    _edge_phase(N, j, a, b, pieces=pieces)
-    sign = 1.0 if u < v else -1.0
-    keys = [sign * (p.real if line[0] else p.imag) for p, _, _ in pieces]
-    walked.setdefault(line, []).append((sign, keys, [(value, phase) for _, value, phase in pieces]))
-    walked[a], walked[b] = pieces[0][1], pieces[-1][1]
+    total = _edge_phase(N, j, a, b, pieces=pieces)
+    place = (lambda p: p.real) if a.imag == b.imag else (lambda p: p.imag)
+    sign = 1.0 if place(a) < place(b) else -1.0
+    keys = [sign * place(p) for p, _, _ in pieces]
+    return ((sign, keys, pieces), 0.0, total), pieces[0][1], pieces[-1][1]
 
 
-def _reading(N: int, j: int, walked: _Walked, segment, z: complex, key: float) -> float:
-    """Certified change of arg of H from a segment's start to its point z (key: z's key)."""
-    _, keys, readings = segment
-    k = bisect_right(keys, key) - 1  # z lies in the piece from p_k
-    start, phase = readings[k]
-    if keys[k] == key:
-        return phase
-    value = walked.get(z)
-    if value is None:
-        value = walked[z] = _evaluate(N, j, z)[0]
-    return phase + cmath.phase(value / start)  # step 4 of _edge_phase
+def _reading(segment, place: float, value: complex) -> float:
+    """Certified change of arg of H from a segment's start to its point at ``place``, of Hc ``value``."""
+    sign, keys, pieces = segment
+    key = sign * place
+    k = bisect_right(keys, key) - 1  # the point lies in the piece from p_k
+    _, start, phase = pieces[k]
+    return phase if keys[k] == key else phase + cmath.phase(value / start)  # step 4 of _edge_phase
 
 
-def _read_edge(N: int, j: int, a: complex, b: complex, walked: _Walked) -> float:
-    """Certified change of arg of H along the edge (a, b), read off a walked segment holding it."""
-    segment, key_a, key_b = _segment(walked, a, b)
-    return _reading(N, j, walked, segment, b, key_b) - _reading(N, j, walked, segment, a, key_a)
+def _count(sides) -> int:
+    """Zeros of H inside a box, with multiplicity, from its four sides (see _walk)."""
+    return round(sum(end - start for _, start, end in sides) / (2.0 * math.pi))
 
 
-def _box_count(N: int, j: int, box: tuple[float, float, float, float], walked: _Walked) -> int:
-    """Zeros of H_{N,j} inside the box (x0, x1, y0, y1), with multiplicity.
-
-    ``walked`` is the memory of one search of H_{N,j}.  For each
-    axis-parallel line it keeps the segments walked on it, each with the
-    accepted pieces of its walk (see _segment); and for each walk's ends
-    and each corner read so far, the computed H there.  An edge that lies
-    inside a walked segment is read, not walked: its change of arg is the
-    difference of two readings (_read_edge; step 4 of _edge_phase).  The
-    other edges are walked first and kept, so that each line segment is
-    walked once.  In a search every corner of a box is then the end of a
-    walk, and the readings cost no evaluation of H.
-    """
+def _box_sides(N: int, j: int, box: tuple[float, float, float, float]) -> list:
+    """Walk the box (x0, x1, y0, y1) counterclockwise: its bottom, right, top and left sides."""
     x0, x1, y0, y1 = box
     corners = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
-    edges = list(zip(corners, corners[1:] + corners[:1]))
-    for a, b in edges:
-        if _segment(walked, a, b) is None:
-            _walk(N, j, a, b, walked)
-    total = sum(_read_edge(N, j, a, b, walked) for a, b in edges)
-    return round(total / (2.0 * math.pi))
+    return [_walk(N, j, a, b)[0] for a, b in zip(corners, corners[1:] + corners[:1])]
 
 
 _ROOT_MARGIN = 0.25  # the root box's half side exceeds the radius by this
@@ -683,22 +652,37 @@ _SPLIT_FRACTIONS = (0.5137, 0.4629)  # off-centre, the second used when the firs
 
 
 def _split(
-    N: int, j: int, box: tuple[float, float, float, float], count: int, walked: _Walked
-) -> list[tuple[tuple[float, float, float, float], int]]:
-    """Halve the box across its longer side; count one half, subtract for the other."""
+    N: int, j: int, box: tuple[float, float, float, float], count: int, sides: list
+) -> list[tuple[tuple[float, float, float, float], int, list]]:
+    """Halve the box across its longer side; count one half, subtract for the other.
+
+    The cut is walked once, upward or from x1 to x0, and the two sides it
+    meets are read where it meets them, with the Hc that its walk computed
+    there.  Each half gets the cut and pieces of the box's sides: returns
+    [(low, its count, its sides), (high, count - low's count, its sides)].
+    """
     x0, x1, y0, y1 = box
+    wide = x1 - x0 >= y1 - y0
+    turn = 0 if wide else 1  # sides turned so that the cut runs from side 0 to side 2
+    (s0, a0, b0), s1, (s2, a2, b2), s3 = sides[turn:] + sides[:turn]
     for fraction in _SPLIT_FRACTIONS:
-        if x1 - x0 >= y1 - y0:
+        if wide:
             cut = x0 + fraction * (x1 - x0)
             low, high = (x0, cut, y0, y1), (cut, x1, y0, y1)
         else:
             cut = y0 + fraction * (y1 - y0)
             low, high = (x0, x1, y0, cut), (x0, x1, cut, y1)
+        a, b = (complex(cut, y0), complex(cut, y1)) if wide else (complex(x1, cut), complex(x0, cut))
         try:
-            low_count = _box_count(N, j, low, walked)
+            (segment, _, total), start, end = _walk(N, j, a, b)
         except ArithmeticError:
             continue
-        return [(low, low_count), (high, count - low_count)]
+        m0, m2 = _reading(s0, cut, start), _reading(s2, cut, end)
+        halves = ([(s0, a0, m0), (segment, 0.0, total), (s2, m2, b2), s3],
+                  [(s0, m0, b0), s1, (s2, a2, m2), (segment, total, 0.0)])
+        low_sides, high_sides = (half[4 - turn:] + half[:4 - turn] for half in halves)  # turned back
+        low_count = _count(low_sides)
+        return [(low, low_count, low_sides), (high, count - low_count, high_sides)]
     raise ArithmeticError(f"find_zeros_in_disk: no split of {box} avoids the zeros of H_({N},{j})")
 
 
@@ -708,12 +692,13 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
     A box around the disk is split until each piece is resolved, after
     Delves and Lyness (Math. Comp. 21, 1967) and Kravanja and Van Barel
     (LNM 1727, 2000).  Counts come from _edge_phase, so they are exact.
-    Each line segment is walked at most once per search: the search keeps
-    the accepted pieces of every walk by the axis-parallel line it lies
-    on, and an edge inside a walked segment, such as a side of a split
-    box, is read from those pieces rather than walked (see _box_count).
-    So only the root box's edges and the cuts are walked.  This memory
-    lives for one call, so searches of different (N, j) never share it.
+    Each line segment is walked at most once per search: only the root
+    box's sides and the cuts are walked.  Each box on the search's stack
+    holds its four sides, each as the walked segment that holds it with
+    the readings at the side's two ends (see _walk); a split reads the two
+    sides its cut meets and hands the cut and pieces of those sides to the
+    halves (see _split).  A segment lives only while a pending box holds
+    it, so searches of different (N, j) never share one.
     A box with count 0, or one missing the disk, is dropped.  For j > 0
     the origin is a zero of multiplicity exactly j (H_{N,j}(z) = z^j/j! +
     ...), so a box around it with count j holds nothing else, and the
@@ -721,11 +706,13 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
     locate_zero from its centre down to the rounding floor (tol=0); the
     result is kept only if it lies in the box (it is then that box's
     zero), and otherwise the box is split again.
-    Zeros are sorted by modulus, then phase.  Raises ValueError for a
-    negative radius, and ArithmeticError if a zero sits on a box edge that
-    no split can avoid or if the root box reaches where doubles cannot
-    resolve H (see _evaluate; a radius of about 1.2e13).
+    Zeros are sorted by modulus, then phase.  Raises ValueError unless
+    N >= 1 and 0 <= j < N, or for a negative radius; and ArithmeticError
+    if a zero sits on a box edge that no split can avoid or if the root
+    box reaches where doubles cannot resolve H (see _evaluate; a radius
+    of about 1.2e13).
     """
+    _check_kernel("find_zeros_in_disk", N, j)
     if not radius >= 0:
         raise ValueError("find_zeros_in_disk: need radius >= 0")
     half = radius + _ROOT_MARGIN
@@ -733,11 +720,11 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
         _ROOT_CENTRE.real - half, _ROOT_CENTRE.real + half,
         _ROOT_CENTRE.imag - half, _ROOT_CENTRE.imag + half,
     )
+    sides = _box_sides(N, j, root)
     zeros: list[complex] = []
-    walked: _Walked = {}
-    pending = [(root, _box_count(N, j, root, walked))]
+    pending = [(root, _count(sides), sides)]
     while pending:
-        box, count = pending.pop()
+        box, count, sides = pending.pop()
         x0, x1, y0, y1 = box
         if count == 0 or math.hypot(max(x0, -x1, 0.0), max(y0, -y1, 0.0)) > radius:
             continue
@@ -752,7 +739,7 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
             if z is not None and x0 <= z.real <= x1 and y0 <= z.imag <= y1:
                 zeros.append(z)
                 continue
-        pending.extend(_split(N, j, box, count, walked))
+        pending.extend(_split(N, j, box, count, sides))
     return sorted((z for z in zeros if abs(z) <= radius), key=lambda z: (abs(z), cmath.phase(z)))
 
 

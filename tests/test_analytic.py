@@ -37,7 +37,14 @@ from congruential_euler.analytic import (
     rounding_floor,
     zeta_even,
 )
-from congruential_euler.analytic import _box_count, _edge_phase, _evaluate, _split, _taylor_bound
+from congruential_euler.analytic import (
+    _box_sides,
+    _count,
+    _edge_phase,
+    _evaluate,
+    _split,
+    _taylor_bound,
+)
 from congruential_euler.engine import SeqParams, compute_table
 
 
@@ -425,11 +432,11 @@ class TestZeroSearch:
     def test_box_edge_through_a_zero_raises(self):
         # The top edge runs through the cosh zero at i pi/2.
         with pytest.raises(ArithmeticError):
-            _box_count(2, 0, (-1.0, 1.0, -0.5, math.pi / 2), {})
+            _box_sides(2, 0, (-1.0, 1.0, -0.5, math.pi / 2))
 
     def test_box_counts(self):
-        assert _box_count(2, 0, (-1.0, 1.0, 1.0, 2.0), {}) == 1
-        assert _box_count(6, 3, (-1.0, 1.0, -1.0, 1.0), {}) == 3
+        assert _count(_box_sides(2, 0, (-1.0, 1.0, 1.0, 2.0))) == 1
+        assert _count(_box_sides(6, 3, (-1.0, 1.0, -1.0, 1.0))) == 3
 
     @pytest.mark.parametrize("family, box, count", [
         ((6, 3), (-1.0, 6.0, -1.0, 8.0), 5),  # the origin (order 3), 2 pi i and (sqrt 3 + i) pi
@@ -446,20 +453,26 @@ class TestZeroSearch:
         else:
             cut = y0 + fraction * (y1 - y0)
             halves = [(x0, x1, y0, cut), (x0, x1, cut, y1)]
-        fresh = [_box_count(N, j, half, {}) for half in halves]
+        fresh = [_box_sides(N, j, half) for half in halves]
         walks = []
         monkeypatch.setattr(
             analytic, "_edge_phase",
             lambda *args, **kwargs: walks.append(args) or _edge_phase(*args, **kwargs),
         )
-        walked = {}
-        assert _box_count(N, j, box, walked) == count
-        assert [_box_count(N, j, half, walked) for half in halves] == fresh
-        assert sum(fresh) == count
-        # the halves' outer sides lie on the box's edges and are read from
-        # their walks; the first half walks the cut, which the second reads
-        # backwards: 4 + 1 + 0 walks, not 12
+        sides = _box_sides(N, j, box)
+        assert _count(sides) == count
+        split = _split(N, j, box, count, sides)
+        assert [half for half, _, _ in split] == halves
+        counts = [_count(s) for s in fresh]
+        assert [n for _, n, _ in split] == [_count(s) for _, _, s in split] == counts
+        assert sum(counts) == count
+        # the halves' outer sides lie on the box's sides and are read from
+        # their walks; the cut is walked once, and the second half holds it
+        # backwards: 4 + 1 walks, not 12
         assert len(walks) == 5
+        for (_, _, read), afresh in zip(split, fresh):
+            assert all(abs((end - start) - phase) < 1e-9
+                       for (_, start, end), (_, _, phase) in zip(read, afresh))
 
     @pytest.mark.parametrize("family, radius", [
         ((4, 0), 5 * math.pi), ((4, 2), 5 * math.pi), ((6, 3), 5 * math.pi), ((5, 0), 20.0),
@@ -467,14 +480,25 @@ class TestZeroSearch:
     def test_no_two_walks_overlap_on_a_line(self, monkeypatch, family, radius):
         N, j = family
 
-        def every_edge_afresh(N, j, box, walked):
+        def split_with_fresh_walks(N, j, box, count, sides):
+            # the same cuts as _split, but each half counted from four fresh walks
             x0, x1, y0, y1 = box
-            corners = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
-            edges = zip(corners, corners[1:] + corners[:1])
-            return round(sum(_edge_phase(N, j, a, b, []) for a, b in edges) / (2.0 * math.pi))
+            for fraction in analytic._SPLIT_FRACTIONS:
+                if x1 - x0 >= y1 - y0:
+                    cut = x0 + fraction * (x1 - x0)
+                    low, high = (x0, cut, y0, y1), (cut, x1, y0, y1)
+                else:
+                    cut = y0 + fraction * (y1 - y0)
+                    low, high = (x0, x1, y0, cut), (x0, x1, cut, y1)
+                try:
+                    low_count = _count(_box_sides(N, j, low))
+                except ArithmeticError:
+                    continue
+                return [(low, low_count, None), (high, count - low_count, None)]
+            raise ArithmeticError("no split")
 
         with monkeypatch.context() as patch:
-            patch.setattr(analytic, "_box_count", every_edge_afresh)
+            patch.setattr(analytic, "_split", split_with_fresh_walks)
             expected = find_zeros_in_disk(N, j, radius)
         walks = []
         monkeypatch.setattr(
@@ -484,7 +508,10 @@ class TestZeroSearch:
         assert find_zeros_in_disk(N, j, radius) == expected  # the same zeros, bit for bit
         spans = {}
         for a, b in walks:
-            line, u, v = analytic._line(a, b)
+            if a.imag == b.imag:
+                line, u, v = (True, a.imag), a.real, b.real
+            else:
+                line, u, v = (False, a.real), a.imag, b.imag
             spans.setdefault(line, []).append(sorted((u, v)))
         for on_line in spans.values():
             on_line.sort()
@@ -500,16 +527,24 @@ class TestZeroSearch:
         x0, x1, y0, y1 = -1.3, 9.7, -0.9, 10.1  # the origin and several lattice zeros
         xs = sorted([x0, x1, *(rng.uniform(x0, x1) for _ in range(3))])
         ys = sorted([y0, y1, *(rng.uniform(y0, y1) for _ in range(3))])
-        walked = {}
         lines = [(complex(x, y0), complex(x, y1)) for x in xs]
         lines += [(complex(x1, y), complex(x0, y)) for y in ys]  # leftwards
+        segments = {}  # (horizontal, level) -> the segment walked on that line
         for a, b in lines:
-            analytic._walk(N, j, a, b, walked)
+            line = (True, a.imag) if a.imag == b.imag else (False, a.real)
+            segments[line] = analytic._walk(N, j, a, b)[0][0]
+
+        def side(a, b):  # the edge (a, b) of a grid line, read off its segment
+            horizontal = a.imag == b.imag
+            segment = segments[(True, a.imag) if horizontal else (False, a.real)]
+            return (segment, *(analytic._reading(segment, z.real if horizontal else z.imag,
+                                                 _evaluate(N, j, z)[0]) for z in (a, b)))
+
         boxes = []
         for _ in range(12):
             (a, b), (c, d) = sorted(rng.sample(xs, 2)), sorted(rng.sample(ys, 2))
             boxes.append((a, b, c, d))
-        fresh = [_box_count(N, j, box, {}) for box in boxes]
+        fresh = [_count(_box_sides(N, j, box)) for box in boxes]
         assert sum(fresh) > 0
         stretches = []
         for a, b in lines:
@@ -517,16 +552,50 @@ class TestZeroSearch:
             stretches.append((a + s * (b - a), a + t * (b - a)))
         walks = []
         monkeypatch.setattr(analytic, "_edge_phase", lambda *args, **kwargs: walks.append(args))
-        assert [_box_count(N, j, box, walked) for box in boxes] == fresh
+        counts = []
         for box in boxes:
             x0, x1, y0, y1 = box
             corners = (complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1))
-            stretches += zip(corners, corners[1:] + corners[:1])
-        read = [analytic._read_edge(N, j, a, b, walked) for a, b in stretches]
+            edges = list(zip(corners, corners[1:] + corners[:1]))
+            counts.append(_count([side(a, b) for a, b in edges]))
+            stretches += edges
+        assert counts == fresh
+        read = [end - start for _, start, end in (side(a, b) for a, b in stretches)]
         assert walks == []
         monkeypatch.undo()
         assert all(abs(phase - _edge_phase(N, j, a, b, [])) < 1e-9
                    for phase, (a, b) in zip(read, stretches))
+
+    @pytest.mark.parametrize("family, radius", [
+        ((4, 0), 5 * math.pi), ((4, 2), 5 * math.pi), ((6, 3), 5 * math.pi), ((5, 0), 60.0),
+    ])
+    def test_readings_evaluate_nothing(self, monkeypatch, family, radius):
+        # every evaluation of a search happens in a walk or a Newton polish:
+        # the sides a split reads take Hc from the walk of its cut
+        depth, strays, calls = [0], [], []
+
+        def within(function):
+            def entered(*args, **kwargs):
+                depth[0] += 1
+                try:
+                    return function(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return entered
+
+        evaluate = analytic._evaluate
+
+        def recorded(N, j, z):
+            calls.append(z)
+            if depth[0] == 0:
+                strays.append(z)
+            return evaluate(N, j, z)
+
+        monkeypatch.setattr(analytic, "_evaluate", recorded)
+        monkeypatch.setattr(analytic, "_edge_phase", within(_edge_phase))
+        monkeypatch.setattr(analytic, "locate_zero", within(locate_zero))
+        assert len(find_zeros_in_disk(*family, radius)) > 10
+        assert len(calls) > 1000 and strays == []
 
     # H_{2,1} = sinh: the first cut of this box, at y0 + 0.5137 * 2, runs through pi i
     SINH_BOX = (-0.6, 0.6, math.pi - 1.0274, math.pi + 0.9726)
@@ -534,16 +603,18 @@ class TestZeroSearch:
     def test_split_retries_at_the_second_fraction(self):
         x0, x1, y0, y1 = self.SINH_BOX
         with pytest.raises(ArithmeticError):
-            _box_count(2, 1, (x0, x1, y0, y0 + 0.5137 * (y1 - y0)), {})
+            _box_sides(2, 1, (x0, x1, y0, y0 + 0.5137 * (y1 - y0)))
         cut = y0 + 0.4629 * (y1 - y0)
-        assert _split(2, 1, self.SINH_BOX, 1, {}) == [
+        split = _split(2, 1, self.SINH_BOX, 1, _box_sides(2, 1, self.SINH_BOX))
+        assert [(half, count) for half, count, _ in split] == [
             ((x0, x1, y0, cut), 0), ((x0, x1, cut, y1), 1)
         ]
+        assert [_count(sides) for _, _, sides in split] == [0, 1]
 
     def test_split_raises_when_every_cut_meets_a_zero(self, monkeypatch):
         monkeypatch.setattr(analytic, "_SPLIT_FRACTIONS", (0.5137, 0.5137))
         with pytest.raises(ArithmeticError, match=r"no split of .* avoids the zeros of H_\(2,1\)"):
-            _split(2, 1, self.SINH_BOX, 1, {})
+            _split(2, 1, self.SINH_BOX, 1, _box_sides(2, 1, self.SINH_BOX))
 
     @pytest.mark.parametrize("N, j, a, b", [
         (4, 2, complex(-1.0, -1.0), complex(4.0, 3.0)),
@@ -641,6 +712,15 @@ class TestZeroSearch:
     def test_radius_beyond_exp_range(self):
         with pytest.raises(ValueError, match="radius >= 0"):
             find_zeros_in_disk(4, 0, -1.0)
+
+    @pytest.mark.parametrize("N, j", [(0, 0), (-1, 0), (3, 3), (3, -1)])
+    def test_no_kernel_raises_value_error(self, N, j):
+        # checked on entry, before (j - 1) % N could raise ZeroDivisionError,
+        # an ArithmeticError like a zero on a box edge
+        with pytest.raises(ValueError, match=r"^find_zeros_in_disk: need N >= 1 and 0 <= j < N$"):
+            find_zeros_in_disk(N, j, 3.0)
+        with pytest.raises(ValueError, match=r"^locate_zero: need N >= 1 and 0 <= j < N$"):
+            locate_zero(N, j, 1j)
 
 
 class TestRatioRadius:
