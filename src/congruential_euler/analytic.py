@@ -20,12 +20,8 @@ from enum import Enum
 from fractions import Fraction
 from math import factorial, perm
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .exact import _Value, binomial_row
-
-if TYPE_CHECKING:
-    from .engine import SeqParams
 
 __all__ = [
     "PiPolynomial",
@@ -408,44 +404,38 @@ def family_zeros(family: tuple[int, int], count: int) -> list[tuple[int, int, co
     return list(itertools.islice(points, max(count, 0)))
 
 
-def locate_zero(N: int, j: int, guess: complex, tol: float = 1e-12) -> complex:
+def locate_zero(N: int, j: int, guess: complex) -> complex:
     """Newton iteration z <- z - H(z)/H'(z) from a nearby guess.
 
     The derivative uses the index-shift rule H_{N,j}' = H_{N,j-1} (with
     j = 0 wrapping to N-1).  H, M and H' come from _evaluate, scaled by the
     same e^-s at each iterate, so value / derivative is the Newton step of
-    H itself.  The iterate is returned once its residual, the scaled
-    |e^-s H(z)| (|H(z)| itself for |z| <= _EXP_LIMIT, where s = 0), is
-    below ``tol``, or once the step has stalled and the residual is below
-    max(tol, rounding_floor(N, z, e^-s M(z))): beyond |z| of about 18 the
-    rounding of eval_H alone exceeds any fixed tolerance.  Raises
-    ArithmeticError, naming the last iterate, on a zero derivative, and if
-    neither acceptance test holds after _NEWTON_STEPS steps; and from
-    _evaluate at an iterate where doubles cannot resolve H (as after a
-    step from a guess where H' is only a rounding residue).  Raises
-    ValueError unless N >= 1 and 0 <= j < N.
+    H itself.  After each step the iterate is returned once the step has
+    stalled (|step| < 1e-15 max(1, |z|)), or was step _NEWTON_STEPS, and
+    its residual, the scaled |e^-s H(z)| (|H(z)| itself for |z| <=
+    _EXP_LIMIT, where s = 0), is below rounding_floor(N, z, e^-s M(z)):
+    beyond |z| of about 18 the rounding of eval_H alone exceeds any fixed
+    tolerance.  Raises ArithmeticError, naming the last iterate, on a zero
+    derivative and if no step is accepted; and from _evaluate at an
+    iterate where doubles cannot resolve H (as after a step from a guess
+    where H' is only a rounding residue).  Raises ValueError unless
+    N >= 1 and 0 <= j < N.
     """
     _check_kernel("locate_zero", N, j)
     z = complex(guess)
     j_prime = (j - 1) % N
-    value, majorant, _ = _evaluate(N, j, z)
-    residual = abs(value)
-    for _ in range(_NEWTON_STEPS):
-        if residual < tol:
-            return z
+    value = _evaluate(N, j, z)[0]
+    for number in range(1, _NEWTON_STEPS + 1):
         derivative = _evaluate(N, j_prime, z)[0]
         if derivative == 0:
             raise ArithmeticError(f"locate_zero: zero derivative at {z}")
         step = value / derivative
         z -= step
         value, majorant, _ = _evaluate(N, j, z)
-        residual = abs(value)
         stalled = abs(step) < 1e-15 * max(1.0, abs(z))
-        if stalled and residual < max(tol, rounding_floor(N, z, majorant)):
+        if (stalled or number == _NEWTON_STEPS) and abs(value) < rounding_floor(N, z, majorant):
             return z
-    if residual < max(tol, rounding_floor(N, z, majorant)):
-        return z
-    raise ArithmeticError(f"locate_zero: no convergence, last iterate {z} (|H|={residual:.3e})")
+    raise ArithmeticError(f"locate_zero: no convergence, last iterate {z} (|H|={abs(value):.3e})")
 
 
 # At every zero z_{k,l} of ``family``, 0 <= l < N: H_{N,a}(z) = factor(l) * H_{N,b}(z).
@@ -703,7 +693,7 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
     the origin is a zero of multiplicity exactly j (H_{N,j}(z) = z^j/j! +
     ...), so a box around it with count j holds nothing else, and the
     origin is returned once as exactly 0j.  A count-1 box is polished by
-    locate_zero from its centre down to the rounding floor (tol=0); the
+    locate_zero from its centre down to the rounding floor; the
     result is kept only if it lies in the box (it is then that box's
     zero), and otherwise the box is split again.
     Zeros are sorted by modulus, then phase.  Raises ValueError unless
@@ -733,7 +723,7 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
             continue
         if count == 1:
             try:
-                z = locate_zero(N, j, complex((x0 + x1) / 2, (y0 + y1) / 2), tol=0.0)
+                z = locate_zero(N, j, complex((x0 + x1) / 2, (y0 + y1) / 2))
             except ArithmeticError:
                 z = None
             if z is not None and x0 <= z.real <= x1 and y0 <= z.imag <= y1:

@@ -14,7 +14,6 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Optional
 
 # every command runs the engine; each handler imports the other library
 # modules it runs, and json where it reads or writes JSON, so that a
@@ -61,10 +60,10 @@ def _cache_path(args: argparse.Namespace, params: SeqParams) -> Path:
     return args.cache_dir / f"euler_N{params.N}_j{params.j}.txt"
 
 
-_CACHE_NAME = re.compile(r"euler_N([1-9]\d*)_j(\d+)\.txt")  # the inverse of _cache_path
+_CACHE_NAME = re.compile(r"euler_N([1-9]\d*)_j(0|[1-9]\d*)\.txt")  # the inverse of _cache_path
 
 
-def _emit(args: argparse.Namespace, record: dict, text: str, tsv: Optional[str] = None) -> None:
+def _emit(args: argparse.Namespace, record: dict, text: str, tsv: str | None = None) -> None:
     """Print one result in the chosen format: a JSON line, a TSV row, or the text line.
 
     The TSV row defaults to the record's values in key order.

@@ -12,7 +12,7 @@ conversion is what rules out off-by-step bugs.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .engine import SeqParams, residue_table
 from .exact import (
@@ -225,7 +225,7 @@ def check_special_40(r: int, n_range: Iterable[int]) -> CongruenceReport:
     return CongruenceReport("special_40", f"r={r}", len(ns), failures)
 
 
-def check_special_60(r: int, n_max: int) -> tuple[Optional[int], CongruenceReport]:
+def check_special_60(r: int, n_max: int) -> tuple[int | None, CongruenceReport]:
     """Find the least n0 with E_{6n+2*3^r}^{(6,0)} == E_{6n}^{(6,0)} mod 3^r for n0 <= n <= n_max.
 
     The congruence only holds eventually; the scan reports the observed

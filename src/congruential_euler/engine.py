@@ -37,7 +37,6 @@ from fractions import Fraction
 from math import comb, factorial, gcd, lcm, perm
 from operator import mul
 from pathlib import Path
-from typing import Union
 
 from .exact import _Record, _Value, exp_section, is_prime, series_invert, series_shift_down
 
@@ -360,7 +359,7 @@ def cache_header(params: SeqParams) -> str:
 
 
 @_any_digits()
-def cache_store(table: SeqTable, path: Union[str, Path]) -> None:
+def cache_store(table: SeqTable, path: str | Path) -> None:
     """Write a table as decimal text, one `<n> <num>/<den>` entry per line.
 
     The text goes to a temporary file in the same directory, which then
@@ -385,17 +384,17 @@ def cache_store(table: SeqTable, path: Union[str, Path]) -> None:
         raise
 
 
-_HEADER_RE = re.compile(rf"^{re.escape(CACHE_HEADER_VERSION)} N=(\d+) j=(\d+)$")
-_ENTRY_RE = re.compile(r"^(\d+) (-?\d+)/(\d+)$")
+_ENTRY_RE = re.compile(r"^(0|[1-9]\d*) (0|-?[1-9]\d*)/([1-9]\d*)$")  # as cache_store writes it
 
 
 @_any_digits()
-def cache_load(params: SeqParams, path: Union[str, Path]) -> SeqTable:
+def cache_load(params: SeqParams, path: str | Path) -> SeqTable:
     """Load a table back and check it, raising CacheFormatError on a bad file.
 
     The file must have the header for ``params`` and entries ``<n> <a>/<b>``
     for n = 0, 1, 2, ... on consecutive lines, so entry n is on line n + 2,
-    each fraction reduced with b > 0; a blank line is a bad entry.  Then
+    each fraction reduced with b > 0 and written as cache_store writes it
+    (no leading zeros, no "-0"); a blank line is a bad entry.  Then
     every entry is checked against the recurrence mod the prime
     q = CACHE_CHECK_PRIME = 2^31 - 1: with rho_n = ``residue_table(params,
     q, 1, n_max)[n]``, entry n is accepted only if a = rho_n * b (mod q).
@@ -423,13 +422,9 @@ def cache_load(params: SeqParams, path: Union[str, Path]) -> SeqTable:
         raise CacheFormatError(f"{path}: not ASCII text: {exc}") from None
     if not lines:
         raise CacheFormatError(f"{path}: line 1: empty cache file")
-    header = _HEADER_RE.match(lines[0])
-    if header is None:
-        raise CacheFormatError(f"{path}: line 1: bad header {lines[0]!r}")
-    if (int(header.group(1)), int(header.group(2))) != (params.N, params.j):
+    if lines[0] != cache_header(params):
         raise CacheFormatError(
-            f"{path}: line 1: cache holds N={header.group(1)} j={header.group(2)}, "
-            f"requested N={params.N} j={params.j}"
+            f"{path}: line 1: bad header {lines[0]!r} for requested N={params.N} j={params.j}"
         )
     values: list[Fraction] = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -441,8 +436,6 @@ def cache_load(params: SeqParams, path: Union[str, Path]) -> SeqTable:
             raise CacheFormatError(
                 f"{path}: line {lineno}: expected index {len(values)}, found {n}"
             )
-        if den < 1:
-            raise CacheFormatError(f"{path}: line {lineno}: denominator must be positive")
         value = Fraction(num, den)
         if (value.numerator, value.denominator) != (num, den):
             raise CacheFormatError(f"{path}: line {lineno}: fraction {line!r} not reduced")

@@ -25,11 +25,11 @@ cofactors of its partners, and only the few nodes near the root are large.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from math import gcd, perm
-from typing import Iterable, Iterator, Union
 
-Rational = Union[int, Fraction]
+Rational = int | Fraction
 
 __all__ = [
     "Rational",

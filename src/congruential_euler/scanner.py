@@ -13,9 +13,9 @@ and reproduces the published numerical tables.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from functools import partial
 from math import lcm
-from typing import Iterable, Optional
 
 from .engine import SeqParams, residue_table
 from .exact import _Record, _Value, is_prime
@@ -41,8 +41,8 @@ class PeriodDetection(_Value):
 
     __slots__ = ("status", "n0", "period")
 
-    def __init__(self, status: str, n0: Optional[int] = None,
-                 period: Optional[int] = None) -> None:
+    def __init__(self, status: str, n0: int | None = None,
+                 period: int | None = None) -> None:
         super().__init__(status, n0, period)
 
 
@@ -90,7 +90,7 @@ class PeriodScanResult(_Record):
 
 
 def scan_conjecture(
-    p: int, m: int, j: int, r: int, n_max: Optional[int] = None
+    p: int, m: int, j: int, r: int, n_max: int | None = None
 ) -> PeriodScanResult:
     """Scan residues of E_{mpn}^{(mp,j)} mod p^r for an eventual period.
 
@@ -179,7 +179,7 @@ class ReferenceRow(_Value):
     __slots__ = ("mp", "j", "p", "r", "published_n0", "published_period", "note", "companion")
 
     def __init__(self, mp: int, j: int, p: int, r: int, published_n0: int, published_period: int,
-                 note: str = "", companion: Optional[tuple[int, int, int]] = None) -> None:
+                 note: str = "", companion: tuple[int, int, int] | None = None) -> None:
         super().__init__(mp, j, p, r, published_n0, published_period, note, companion)
 
 

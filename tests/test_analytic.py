@@ -279,8 +279,13 @@ class TestZeros:
         assert abs(z - target) < 1e-9
 
     def test_trivial_zero_of_42(self):
-        z = locate_zero(4, 2, 0.1, tol=1e-13)
+        z = locate_zero(4, 2, 0.1)
         assert abs(z) < 1e-6  # converges to the trivial zero at the origin
+
+    def test_no_tolerance_option(self):
+        # the rounding floor is the only acceptance test
+        with pytest.raises(TypeError):
+            locate_zero(4, 0, 1 + 1j, tol=1e-12)
 
     def test_family_zeros_ordering(self):
         zeros = family_zeros((4, 0), 6)
@@ -307,6 +312,18 @@ class TestZeros:
         monkeypatch.setattr(analytic, "_NEWTON_STEPS", 2)
         with pytest.raises(ArithmeticError):
             locate_zero(4, 0, 100 + 100j)
+
+    @pytest.mark.parametrize("steps, converges", [(4, True), (3, False)])
+    def test_last_step_accepted_below_the_floor(self, monkeypatch, steps, converges):
+        # from this guess the fourth step is about 1.4e-9, far from stalling,
+        # and lands below the rounding floor; the third lands above it
+        monkeypatch.setattr(analytic, "_NEWTON_STEPS", steps)
+        target = predicted_zero((4, 0), 2, 0)
+        if converges:
+            assert abs(locate_zero(4, 0, target + 0.1 + 0.05j) - target) < 1e-13 * abs(target)
+        else:
+            with pytest.raises(ArithmeticError, match="no convergence"):
+                locate_zero(4, 0, target + 0.1 + 0.05j)
 
     def test_zero_derivative_raises(self, monkeypatch):
         evaluate = analytic._evaluate

@@ -695,6 +695,15 @@ class TestCache:
         assert err == (f"error: {tmp_path / 'euler_N01_j0.txt'}: "
                        "file name does not give N >= 1 and j\n")
 
+    def test_inspect_rejects_a_j_with_a_leading_zero(self, capsys, tmp_path):
+        run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", "4", "--j", "2",
+            "--n-max", "3")
+        (tmp_path / "euler_N4_j2.txt").rename(tmp_path / "euler_N4_j02.txt")
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path), "cache", "inspect")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {tmp_path / 'euler_N4_j02.txt'}: "
+                       "file name does not give N >= 1 and j\n")
+
     def test_inspect_reports_wrong_values(self, capsys, tmp_path):
         for N, j, n_max in ((2, 0, 3), (4, 2, 5)):
             run(capsys, "--cache-dir", str(tmp_path), "compute", "--N", str(N), "--j", str(j),

@@ -411,14 +411,31 @@ class TestCache:
     @pytest.mark.parametrize("content, message", [
         (b"", "line 1: empty cache file"),
         (b"congruential-euler-cache v1 N=2 j=0\n", "line 2: no entries"),
-        (b"congruential-euler-cache v1 N=2 j=0\n0 1/0\n", "line 2: denominator must be positive"),
+        (b"congruential-euler-cache v1 N=2 j=0\n0 1/0\n", "line 2: bad entry '0 1/0'"),
         (b"congruential-euler-cache v1 N=2 j=0\n0 1/1\xc3\xa9\n", "not ASCII text"),
-    ], ids=["empty", "header_only", "zero_denominator", "non_ascii"])
+        # forms that cache_store never writes, though each reads as the right value
+        (b"congruential-euler-cache v1 N=02 j=0\n0 1/1\n", "line 1: bad header"),
+        (b"congruential-euler-cache v1 N=2 j=0\n00 1/1\n", "line 2: bad entry '00 1/1'"),
+        (b"congruential-euler-cache v1 N=2 j=0\n0 1/01\n", "line 2: bad entry '0 1/01'"),
+        (b"congruential-euler-cache v1 N=2 j=0\n0 01/1\n", "line 2: bad entry '0 01/1'"),
+    ], ids=["empty", "header_only", "zero_denominator", "non_ascii", "padded_header",
+            "padded_index", "padded_denominator", "padded_numerator"])
     def test_malformed_file_rejected(self, tmp_path, content, message):
         path = tmp_path / "euler.txt"
         path.write_bytes(content)
         with pytest.raises(CacheFormatError, match=message):
             cache_load(SeqParams(2, 0), path)
+
+    def test_negative_zero_rejected(self, tmp_path):
+        # B_3 = 0 is the entry of (1, 1) at n = 3, and "-0/1" reads as 0
+        path = tmp_path / "euler.txt"
+        cache_store(compute_table(SeqParams(1, 1), 3), path)
+        text = path.read_text().splitlines()
+        assert text[4] == "3 0/1"
+        text[4] = "3 -0/1"
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(CacheFormatError, match="line 5: bad entry '3 -0/1'"):
+            cache_load(SeqParams(1, 1), path)
 
     def test_round_trip_beyond_the_int_str_digit_limit(self, tmp_path, default_digit_limit):
         table = compute_table(SeqParams(42, 9), 70)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from congruential_euler.exact import (
     EgfSeries,
+    Rational,
     binomial_row,
     exp_section,
     is_prime,
@@ -166,6 +167,10 @@ rationals = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10
 
 
 class TestRationalExactness:
+    def test_rational_admits_int_and_fraction(self):
+        assert isinstance(3, Rational) and isinstance(Fraction(1, 3), Rational)
+        assert not isinstance(0.5, Rational)
+
     @given(rationals, rationals)
     def test_add_sub_roundtrip(self, a, b):
         assert (a + b) - b == a

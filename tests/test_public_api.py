@@ -85,6 +85,24 @@ def test_cli_stays_out_of_the_package_import(tmp_path, code, modules):
     assert _loaded(code, tmp_path) == expected
 
 
+@pytest.mark.parametrize("commands", [
+    [["compute", "--N", "4", "--j", "2", "--n-max", "30"]],
+    [["verify", "main", "--p", "3", "--j", "0", "--r", "1"]],
+    [["scan", "--p", "3", "--m", "2", "--j", "3", "--r", "2"]],
+    [["identities", "zeros", "--family", "6,3", "--count", "13"]],
+    [["compute", "--N", "2", "--j", "0", "--n-max", "3"], ["cache", "inspect"]],
+], ids=["compute", "verify", "scan", "identities", "cache"])
+def test_no_command_loads_typing(tmp_path, commands):
+    # -S keeps site's start-up hooks, which may import typing, out of the probe
+    probe = ("import sys\nfrom congruential_euler import cli\n"
+             f"for args in {commands!r}:\n"
+             "    assert cli.main(['--cache-dir', sys.argv[1], *args]) == 0\n"
+             "print('typing' in sys.modules)\n")
+    run = subprocess.run([sys.executable, "-S", "-c", probe, str(tmp_path)], cwd=SRC,
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert run.stdout.splitlines()[-1] == "False"
+
+
 def test_a_text_compute_loads_neither_dataclasses_nor_json(tmp_path):
     # a text table needs no JSON, and the engine's value classes need no dataclasses
     probe = ("import sys\nfrom congruential_euler import cli\n"
