@@ -388,19 +388,25 @@ def predicted_zero(family: tuple[int, int], k: int, l: int) -> complex:
     return direction * (k - offset) * math.pi * cmath.rect(1.0, 2.0 * math.pi * l / N)
 
 
-def _rings(family: tuple[int, int]):
-    """The closed-form lattice ring by ring: (k, [z_{k,0}, ..., z_{k,N-1}]) for k = 1, 2, ..."""
-    for k in itertools.count(1):
-        yield k, [predicted_zero(family, k, l) for l in range(family[0])]
+def _rings(name: str, family: tuple[int, int]):
+    """The closed-form lattice ring by ring: (k, [z_{k,0}, ..., z_{k,N-1}]) for k = 1, 2, ...
+
+    Checks the family at the call, not at the first ring, and raises
+    ValueError naming ``name`` for one outside _LATTICE.
+    """
+    if family not in _LATTICE:
+        raise ValueError(f"{name}: unknown family {family}")
+    return ((k, [predicted_zero(family, k, l) for l in range(family[0])]) for k in itertools.count(1))
 
 
 def family_zeros(family: tuple[int, int], count: int) -> list[tuple[int, int, complex]]:
     """The first ``count`` nontrivial zeros, ordered by modulus then rotation.
 
     Returns (k, l, zero) triples; within one modulus ring the rotation
-    index l runs from 0.
+    index l runs from 0.  Raises ValueError for a family outside
+    ZERO_FAMILIES, whatever ``count``.
     """
-    points = ((k, l, z) for k, ring in _rings(family) for l, z in enumerate(ring))
+    points = ((k, l, z) for k, ring in _rings("family_zeros", family) for l, z in enumerate(ring))
     return list(itertools.islice(points, max(count, 0)))
 
 
@@ -410,30 +416,33 @@ def locate_zero(N: int, j: int, guess: complex) -> complex:
     The derivative uses the index-shift rule H_{N,j}' = H_{N,j-1} (with
     j = 0 wrapping to N-1).  H, M and H' come from _evaluate, scaled by the
     same e^-s at each iterate, so value / derivative is the Newton step of
-    H itself.  After each step the iterate is returned once the step has
-    stalled (|step| < 1e-15 max(1, |z|)), or was step _NEWTON_STEPS, and
-    its residual, the scaled |e^-s H(z)| (|H(z)| itself for |z| <=
-    _EXP_LIMIT, where s = 0), is below rounding_floor(N, z, e^-s M(z)):
-    beyond |z| of about 18 the rounding of eval_H alone exceeds any fixed
-    tolerance.  Raises ArithmeticError, naming the last iterate, on a zero
-    derivative and if no step is accepted; and from _evaluate at an
-    iterate where doubles cannot resolve H (as after a step from a guess
-    where H' is only a rounding residue).  Raises ValueError unless
+    H itself.  The residual of an iterate is its scaled |e^-s H(z)| (|H(z)|
+    itself for |z| <= _EXP_LIMIT, where s = 0), and it is settled when the
+    residual is below rounding_floor(N, z, e^-s M(z)): beyond |z| of about
+    18 the rounding of eval_H alone exceeds any fixed tolerance.  One rule
+    returns: a step from a settled iterate that lands on a settled iterate
+    returns where it lands.  H at the iterate it started from could not be
+    told apart from zero, so that step is itself rounding noise, which is
+    what a test on the step's size would try to detect, with no tolerance
+    to set by hand; the guess is never returned unstepped.  Gives up after
+    _NEWTON_STEPS steps.  Raises ArithmeticError, naming the last iterate,
+    on a zero derivative and if no step is accepted; and from _evaluate at
+    an iterate where doubles cannot resolve H (as after a step from a
+    guess where H' is only a rounding residue).  Raises ValueError unless
     N >= 1 and 0 <= j < N.
     """
     _check_kernel("locate_zero", N, j)
     z = complex(guess)
     j_prime = (j - 1) % N
-    value = _evaluate(N, j, z)[0]
-    for number in range(1, _NEWTON_STEPS + 1):
+    value, majorant, _ = _evaluate(N, j, z)
+    for _ in range(_NEWTON_STEPS):
+        settled = abs(value) < rounding_floor(N, z, majorant)
         derivative = _evaluate(N, j_prime, z)[0]
         if derivative == 0:
             raise ArithmeticError(f"locate_zero: zero derivative at {z}")
-        step = value / derivative
-        z -= step
+        z -= value / derivative
         value, majorant, _ = _evaluate(N, j, z)
-        stalled = abs(step) < 1e-15 * max(1.0, abs(z))
-        if (stalled or number == _NEWTON_STEPS) and abs(value) < rounding_floor(N, z, majorant):
+        if settled and abs(value) < rounding_floor(N, z, majorant):
             return z
     raise ArithmeticError(f"locate_zero: no convergence, last iterate {z} (|H|={abs(value):.3e})")
 
@@ -693,9 +702,10 @@ def find_zeros_in_disk(N: int, j: int, radius: float) -> list[complex]:
     the origin is a zero of multiplicity exactly j (H_{N,j}(z) = z^j/j! +
     ...), so a box around it with count j holds nothing else, and the
     origin is returned once as exactly 0j.  A count-1 box is polished by
-    locate_zero from its centre down to the rounding floor; the
-    result is kept only if it lies in the box (it is then that box's
-    zero), and otherwise the box is split again.
+    locate_zero from its centre until a step from an iterate below the
+    rounding floor lands below it too; the result is kept only if it lies
+    in the box (it is then that box's zero), and otherwise the box is
+    split again.
     Zeros are sorted by modulus, then phase.  Raises ValueError unless
     N >= 1 and 0 <= j < N, or for a negative radius; and ArithmeticError
     if a zero sits on a box edge that no split can avoid or if the root
@@ -747,11 +757,13 @@ def lattice_zeros(
     matched with no strays means that the disk holds the lattice points
     and the origin's j zeros, and nothing else.  Choose a radius between
     two rings: a zero on the circle may fall on either side of it.
+    Raises ValueError for a family outside ZERO_FAMILIES before it searches.
     """
+    rings = _rings("lattice_zeros", family)
     N, j = family
     found = [z for z in find_zeros_in_disk(N, j, radius) if z != 0]  # H_{N,0}(0) = 1
     rows = []
-    for k, ring in _rings(family):
+    for k, ring in rings:
         inside = [(l, w) for l, w in enumerate(ring) if abs(w) <= radius]
         if not inside:
             break

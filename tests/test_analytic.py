@@ -313,10 +313,10 @@ class TestZeros:
         with pytest.raises(ArithmeticError):
             locate_zero(4, 0, 100 + 100j)
 
-    @pytest.mark.parametrize("steps, converges", [(4, True), (3, False)])
-    def test_last_step_accepted_below_the_floor(self, monkeypatch, steps, converges):
-        # from this guess the fourth step is about 1.4e-9, far from stalling,
-        # and lands below the rounding floor; the third lands above it
+    @pytest.mark.parametrize("steps, converges", [(5, True), (4, False)])
+    def test_returns_the_step_after_the_first_settled_iterate(self, monkeypatch, steps, converges):
+        # from this guess iterate 4 is the first below the rounding floor, so
+        # step 5, taken from it, is the first that may return
         monkeypatch.setattr(analytic, "_NEWTON_STEPS", steps)
         target = predicted_zero((4, 0), 2, 0)
         if converges:
@@ -324,6 +324,16 @@ class TestZeros:
         else:
             with pytest.raises(ArithmeticError, match="no convergence"):
                 locate_zero(4, 0, target + 0.1 + 0.05j)
+
+    @pytest.mark.parametrize("family", [(0, 0), (5, 0), (1, 0)])
+    def test_unknown_family_refused_before_any_evaluation(self, monkeypatch, family):
+        calls = []
+        monkeypatch.setattr(analytic, "_evaluate", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"^lattice_zeros: unknown family"):
+            lattice_zeros(family, 100.0)
+        with pytest.raises(ValueError, match=r"^family_zeros: unknown family"):
+            family_zeros(family, 0)
+        assert calls == []
 
     def test_zero_derivative_raises(self, monkeypatch):
         evaluate = analytic._evaluate
@@ -424,6 +434,34 @@ class TestZeroSearch:
         rows, strays = lattice_zeros(family, radius)
         assert [w for _, _, w, _ in rows] == lattice and strays == []
         assert all(zero is not None for *_, zero in rows)
+
+    def test_no_polish_runs_out_of_steps(self, monkeypatch):
+        # a polish makes one evaluation at the guess and two per step
+        calls, spent, evaluate = [0], [], analytic._evaluate
+
+        def counted(N, j, z):
+            calls[0] += 1
+            return evaluate(N, j, z)
+
+        def polish(*args):
+            before = calls[0]
+            try:
+                return locate_zero(*args)
+            finally:
+                spent.append(calls[0] - before)
+
+        monkeypatch.setattr(analytic, "_evaluate", counted)
+        monkeypatch.setattr(analytic, "locate_zero", polish)
+        assert len(find_zeros_in_disk(6, 3, 5 * math.pi)) == 13
+        assert len(spent) == 23 and max(spent) < 2 * analytic._NEWTON_STEPS + 1
+
+    @pytest.mark.parametrize("family", ZERO_FAMILIES)
+    def test_polished_to_the_closed_form_bits(self, family):
+        # predicted_zero rounds within 23u|w|, about 2.6e-15 |w|; the worst
+        # polished zero out to radius 60 is 9.75e-16 |w| from its point
+        rows, strays = lattice_zeros(family, 60.0)
+        assert len(rows) > 50 and strays == []
+        assert all(abs(zero - w) <= 4e-15 * abs(w) for _, _, w, zero in rows)
 
     def test_cosh_and_sinh_on_the_imaginary_axis(self):
         radius = 5.25 * math.pi
